@@ -53,11 +53,6 @@ Subpackages
     Fault-tolerant ensemble pipeline: quarantine/repair policies
     (:class:`QuarantineReport`, :class:`Budget`), the repair ladder and
     seedable chaos fault injection (:class:`FaultPlan`).
-``repro.backends``
-    Pluggable kernel backends behind every Sinkhorn/SVD entry point:
-    registry (:func:`register_backend`, :func:`get_backend`,
-    :func:`list_backends`), the :class:`KernelBackend` protocol, the
-    float32 fast path and warm-started re-characterization.
 ``repro.shard``
     Out-of-core sharded ensembles: the on-disk :class:`StackStore`
     format, memory-budgeted chunk planning and
@@ -65,12 +60,6 @@ Subpackages
     straggler mitigation, bit-identical to the in-memory path.
 """
 
-from .backends import (
-    KernelBackend,
-    get_backend,
-    list_backends,
-    register_backend,
-)
 from .core import (
     ECSMatrix,
     ETCMatrix,
@@ -225,11 +214,6 @@ __all__ = [
     "write_store",
     "plan_shards",
     "characterize_store",
-    # backends
-    "KernelBackend",
-    "get_backend",
-    "list_backends",
-    "register_backend",
     # exceptions
     "ReproError",
     "MatrixShapeError",

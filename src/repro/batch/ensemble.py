@@ -22,14 +22,18 @@ differential harness in ``tests/batch/`` enforces this).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..exceptions import MatrixShapeError, MatrixValueError, WeightError
+from ..normalize.sinkhorn import coerce_warm_start
 from ..normalize.standard_form import DEFAULT_TOL
-from ..obs import current_recorder, metrics as _metrics, traced
+from ..obs import current_recorder, metrics as _metrics, span, traced
 from ._stack import as_ecs_stack, stack_environments
+from .measures import average_adjacent_ratio_batched
+from .sinkhorn import standardize_batched
 
 __all__ = ["EnsembleCharacterization", "characterize_ensemble"]
 
@@ -118,14 +122,8 @@ def _characterize_columns(args: tuple) -> tuple:
     """Module-level worker (picklable): scalar columns of one member."""
     from ..measures.report import characterize
 
-    matrix, tol, tma_fallback, backend, precision = args
-    profile = characterize(
-        matrix,
-        tol=tol,
-        tma_fallback=tma_fallback,
-        backend=backend,
-        precision=precision,
-    )
+    matrix, tol, tma_fallback = args
+    profile = characterize(matrix, tol=tol, tma_fallback=tma_fallback)
     iterations = (
         profile.sinkhorn_iterations
         if profile.sinkhorn_iterations is not None
@@ -192,8 +190,6 @@ def _characterize_stack_batched(
     tol: float,
     max_iterations: int,
     deadline_s: float | None = None,
-    backend=None,
-    precision: str | None = None,
     warm_start=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched (MPH, TDH, TMA, iterations, converged) columns of a
@@ -204,19 +200,31 @@ def _characterize_stack_batched(
     the row-sum rows, TMA the mean trailing singular value of the
     standard form (eq. 8).  Per-slice results are independent of which
     other slices share the stack, which is what lets the robust
-    pipeline promise bit-identical healthy members.  The whole pass is
-    one fused backend call (:mod:`repro.backends`).
+    pipeline promise bit-identical healthy members.
     """
-    from ..backends import resolve_backend
-
-    return resolve_backend(backend).fused_standard_measures(
+    mph = average_adjacent_ratio_batched(sub.sum(axis=1))
+    tdh = average_adjacent_ratio_batched(sub.sum(axis=2))
+    standard = standardize_batched(
         sub,
         tol=tol,
         max_iterations=max_iterations,
+        require_convergence=False,
         deadline_s=deadline_s,
         warm_start=warm_start,
-        precision=precision,
     )
+    t0 = time.perf_counter()
+    with span(
+        "svd.batched", slices=sub.shape[0], rows=sub.shape[1], cols=sub.shape[2]
+    ):
+        values = np.linalg.svd(standard.matrix, compute_uv=False)
+    _metrics.observe_svd("batched", time.perf_counter() - t0)
+    if values.shape[1] < 2:
+        tma = np.zeros(sub.shape[0], dtype=np.float64)
+    else:
+        tma = np.clip(
+            values[:, 1:].sum(axis=1) / (values.shape[1] - 1), 0.0, 1.0
+        )
+    return mph, tdh, tma, standard.iterations, standard.converged
 
 
 @traced(name="batch.characterize_ensemble")
@@ -236,8 +244,6 @@ def characterize_ensemble(
     policy: str = "raise",
     budget=None,
     fault_plan=None,
-    backend=None,
-    precision: str | None = None,
     warm_start=None,
 ) -> EnsembleCharacterization:
     """Characterize a whole ensemble of environments in one call.
@@ -297,10 +303,6 @@ def characterize_ensemble(
         under any policy (so a drill can also demonstrate the
         ``"raise"`` crash); ``stall`` faults need a robust policy,
         whose worker path hosts the injected sleep.
-    backend, precision
-        Kernel backend and float32 fast-path selection, threaded into
-        every Sinkhorn/SVD call on both the batched and scalar paths
-        (see :mod:`repro.backends`).
     warm_start : ScalingOutcome or (row_scale, col_scale), optional
         Previous standard-form scaling vectors applied before
         iterating — the incremental re-characterization path for
@@ -350,8 +352,6 @@ def characterize_ensemble(
             policy=policy,
             budget=budget,
             fault_plan=fault_plan,
-            backend=backend,
-            precision=precision,
         )
     if environments is None:
         raise MatrixValueError(
@@ -395,8 +395,6 @@ def characterize_ensemble(
             policy=policy,
             budget=budget,
             fault_plan=fault_plan,
-            backend=backend,
-            precision=precision,
         )
     if budget is not None:
         raise MatrixValueError(
@@ -425,10 +423,7 @@ def characterize_ensemble(
             rec.counter("ensemble.slices", len(members))
             rec.counter("ensemble.fallback_slices", len(members))
         _metrics.count_ensemble_members(fallback=len(members))
-        items = [
-            (member, tol, tma_fallback, backend, precision)
-            for member in members
-        ]
+        items = [(member, tol, tma_fallback) for member in members]
         columns = parallel_map(_characterize_columns, items, n_jobs=n_jobs)
         return _from_columns(columns, n_tasks=None, n_machines=None)
 
@@ -444,9 +439,7 @@ def characterize_ensemble(
                 "positive stack (zero-patterned slices take the scalar "
                 "path, which cannot reuse scaling vectors)"
             )
-        from ..backends.base import coerce_warm_start_batched
-
-        warm_rows, warm_cols = coerce_warm_start_batched(
+        warm_rows, warm_cols = coerce_warm_start(
             warm_start, n_slices, n_tasks, n_machines
         )
     rec = current_recorder()
@@ -475,8 +468,6 @@ def characterize_ensemble(
             stack[positive],
             tol=tol,
             max_iterations=max_iterations,
-            backend=backend,
-            precision=precision,
             warm_start=(
                 None
                 if warm_rows is None
@@ -489,8 +480,7 @@ def characterize_ensemble(
         from .._parallel import parallel_map
 
         items = [
-            (stack[i], tol, tma_fallback, backend, precision)
-            for i in np.nonzero(fallback)[0]
+            (stack[i], tol, tma_fallback) for i in np.nonzero(fallback)[0]
         ]
         columns = parallel_map(_characterize_columns, items, n_jobs=n_jobs)
         for i, (m, t, a, its, conv) in zip(np.nonzero(fallback)[0], columns):

@@ -1,15 +1,14 @@
 """Batched alternating row/column scaling over ``(N, T, M)`` stacks.
 
 :func:`sinkhorn_knopp_batched` runs the paper's eq. (9) iteration on a
-whole ensemble of same-shape matrices at once: one iteration is two
-broadcast sums and two broadcast multiplies over the full stack, so the
-per-matrix Python overhead of the scalar loop disappears.  Slices
-converge independently — a per-slice *active mask* freezes a slice the
-moment its residual drops below ``tol``, which keeps every slice's
-iterate sequence identical to what the scalar
-:func:`repro.normalize.sinkhorn_knopp` would produce on that matrix
-alone (the differential harness in ``tests/batch/`` pins this to
-≤ 1e-10).
+whole ensemble of same-shape matrices at once, through the same core as
+the scalar :func:`repro.normalize.sinkhorn_knopp`: one iteration is two
+broadcast sums and two broadcast multiplies over the active slices, so
+the per-matrix Python overhead disappears.  Slices converge
+independently — a slice freezes the moment its residual drops below
+``tol``, which keeps every slice's iterate sequence bit-identical to
+the scalar run on that matrix alone (the differential harness in
+``tests/batch/`` pins this against a frozen reference loop).
 
 :func:`standardize_batched` applies the Theorem-2 targets
 (rows ``sqrt(M/T)``, columns ``sqrt(T/M)``) to a stack.  Unlike the
@@ -25,23 +24,18 @@ exactly that.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .._validation import check_positive_scalar
-from ..backends import resolve_backend
-from ..backends.base import (
-    check_precision,
-    coerce_warm_start_batched,
-    run_sinkhorn_batched,
-)
 from ..exceptions import ConvergenceError, MatrixValueError
 from ..normalize.outcome import _removed_alias
 from ..normalize.sinkhorn import (
     NormalizationResult,
     _check_deadline,
+    _scale_stack,
+    _warm_started,
     convergence_message,
 )
 from ..obs import current_recorder, metrics as _metrics, span as _obs_span
@@ -124,13 +118,6 @@ class BatchNormalizationResult:
         )
 
 
-def _residuals(stack: np.ndarray, row_target: float, col_target: float) -> np.ndarray:
-    """Per-slice residual of an (n, T, M) stack."""
-    row_err = np.abs(stack.sum(axis=2) - row_target).max(axis=1)
-    col_err = np.abs(stack.sum(axis=1) - col_target).max(axis=1)
-    return np.maximum(row_err, col_err)
-
-
 def sinkhorn_knopp_batched(
     stack,
     *,
@@ -140,8 +127,6 @@ def sinkhorn_knopp_batched(
     max_iterations: int = 100_000,
     require_convergence: bool = True,
     deadline_s: float | None = None,
-    backend=None,
-    precision: str | None = None,
     warm_start=None,
 ) -> BatchNormalizationResult:
     """Scale every slice of ``stack`` so rows sum to ``row_target`` and
@@ -173,9 +158,6 @@ def sinkhorn_knopp_batched(
         as non-converged — graceful degradation instead of burning the
         full iteration budget on a straggling slice.  ``None`` (the
         default) means unbounded.
-    backend, precision
-        Kernel backend and float32 fast-path selection, exactly as in
-        the scalar kernel (see :mod:`repro.backends`).
     warm_start : ScalingOutcome or (row_scale, col_scale), optional
         Previous scaling vectors applied before iterating.  A single
         ``(T,)``/``(M,)`` pair (e.g. from the unperturbed base matrix
@@ -196,8 +178,6 @@ def sinkhorn_knopp_batched(
     array([[1., 1.],
            [1., 1.]])
     """
-    be = resolve_backend(backend)
-    precision = check_precision(precision)
     work = as_float_stack(stack, name="stack").copy()
     if np.isinf(work).any():
         raise MatrixValueError("stack must be finite (got inf entries)")
@@ -226,24 +206,8 @@ def sinkhorn_knopp_batched(
             "no scaling can fix that"
         )
 
-    row_scale = np.ones((n_slices, n_rows), dtype=np.float64)
-    col_scale = np.ones((n_slices, n_cols), dtype=np.float64)
-    if warm_start is not None:
-        warm_rows, warm_cols = coerce_warm_start_batched(
-            warm_start, n_slices, n_rows, n_cols
-        )
-        work = warm_rows[:, :, None] * work * warm_cols[:, None, :]
-        row_scale = warm_rows.copy()
-        col_scale = warm_cols.copy()
-    residual = _residuals(work, row_target, col_target)
-    histories: list[list[float]] = [[float(r)] for r in residual]
-    converged = residual <= tol
-    iterations = np.zeros(n_slices, dtype=np.int64)
-    active = ~converged
-    it = 0
+    work, row_scale, col_scale = _warm_started(work, warm_start)
     t_end = _check_deadline(deadline_s)
-    timed_out = False
-    precision_outcome = None
     rec = current_recorder()
     with _obs_span(
         "sinkhorn.batched", slices=n_slices, rows=n_rows, cols=n_cols
@@ -254,27 +218,21 @@ def sinkhorn_knopp_batched(
                 sp.sample("active_slices", active_count)
         else:
             on_progress = None
-        if active.any():
-            it, timed_out, precision_outcome = run_sinkhorn_batched(
-                be,
+        histories, iterations, residual, converged, it, timed_out = (
+            _scale_stack(
                 work,
-                row_target,
-                col_target,
+                np.full(n_rows, row_target),
+                np.full(n_cols, col_target),
                 tol=tol,
                 max_iterations=max_iterations,
                 row_scale=row_scale,
                 col_scale=col_scale,
-                histories=histories,
-                iterations=iterations,
-                residual=residual,
-                converged=converged,
-                active=active,
                 t_end=t_end,
-                precision=precision,
                 on_progress=on_progress,
             )
+        )
         sp.note(
-            iterations=int(it),
+            iterations=it,
             converged_slices=int(converged.sum()),
             max_residual=float(residual.max()),
             timed_out=timed_out,
@@ -285,26 +243,23 @@ def sinkhorn_knopp_batched(
         residual=residual,
         converged=converged,
     )
-    _metrics.count_backend_dispatch(be.name, "sinkhorn_batched")
-    if precision_outcome is not None:
-        _metrics.count_backend_precision(be.name, precision_outcome)
     if warm_start is not None:
         _metrics.count_warm_start(
             "sinkhorn_batched",
             "converged" if bool(converged.all()) else "pending",
         )
-    if active.any() and require_convergence:
-        bad = np.nonzero(active)[0]
+    if require_convergence and not converged.all():
+        bad = np.flatnonzero(~converged)
         raise ConvergenceError(
             convergence_message(
                 f"{bad.size} of {n_slices} slices",
                 tol=tol,
-                iterations=int(it),
+                iterations=it,
                 residual=float(residual[bad].max()),
                 failing=bad[:5].tolist(),
                 deadline_s=deadline_s if timed_out else None,
             ),
-            iterations=int(it),
+            iterations=it,
             residual=float(residual[bad].max()),
         )
     return BatchNormalizationResult(
@@ -330,8 +285,6 @@ def standardize_batched(
     policy: str = "raise",
     budget=None,
     fault_plan=None,
-    backend=None,
-    precision: str | None = None,
     warm_start=None,
 ) -> BatchNormalizationResult:
     """Convert every slice of a stack to the standard ECS form.
@@ -351,8 +304,8 @@ def standardize_batched(
     of rejecting the whole stack, honouring the optional ``budget``
     and applying the optional chaos ``fault_plan``.
 
-    ``backend``/``precision``/``warm_start`` behave exactly as in
-    :func:`sinkhorn_knopp_batched`; ``warm_start`` requires the default
+    ``warm_start`` behaves exactly as in :func:`sinkhorn_knopp_batched`
+    and requires the default
     ``policy="raise"`` (the robust pipeline re-orders slices, so stale
     scaling vectors cannot be matched up safely).
 
@@ -385,8 +338,6 @@ def standardize_batched(
             policy=policy,
             budget=budget,
             fault_plan=fault_plan,
-            backend=backend,
-            precision=precision,
         )
     if budget is not None or fault_plan is not None:
         raise MatrixValueError(
@@ -403,7 +354,5 @@ def standardize_batched(
         max_iterations=max_iterations,
         require_convergence=require_convergence,
         deadline_s=deadline_s,
-        backend=backend,
-        precision=precision,
         warm_start=warm_start,
     )

@@ -93,14 +93,14 @@ class HeterogeneityProfile:
         return "\n".join(lines)
 
 
-def _tma_from_standard(standard, backend=None) -> float:
+def _tma_from_standard(standard) -> float:
     """eq. 8 on an already-computed standard form (no second Sinkhorn)."""
-    from ..backends import resolve_backend
+    import scipy.linalg
 
     shape = standard.matrix.shape
     t0 = time.perf_counter()
     with _obs_span("svd.scalar", rows=shape[0], cols=shape[1]):
-        values = resolve_backend(backend).svd_values(standard.matrix)
+        values = scipy.linalg.svdvals(standard.matrix)
     _metrics.observe_svd("scalar", time.perf_counter() - t0)
     if values.shape[0] < 2:
         return 0.0
@@ -114,8 +114,6 @@ def characterize(
     machine_weights=None,
     tol: float = DEFAULT_TOL,
     tma_fallback: str = "limit",
-    backend=None,
-    precision: str | None = None,
 ) -> HeterogeneityProfile:
     """Compute the full heterogeneity profile of an environment.
 
@@ -138,12 +136,6 @@ def characterize(
           formula; recorded as ``tma_method="column"``.
         * ``"raise"`` — propagate the
           :class:`~repro.exceptions.NotNormalizableError`.
-    backend : str or KernelBackend, optional
-        Kernel backend running the Sinkhorn iteration and the SVD (see
-        :mod:`repro.backends`).
-    precision : {"float64", "float32"}, optional
-        Float32 fast path for the standard form, float64-verified as in
-        :func:`repro.normalize.sinkhorn_knopp`.
 
     Examples
     --------
@@ -166,28 +158,16 @@ def characterize(
         "measures.characterize", rows=ecs.shape[0], cols=ecs.shape[1]
     ) as sp:
         try:
-            standard = standardize(
-                weighted,
-                tol=tol,
-                zeros="strict",
-                backend=backend,
-                precision=precision,
-            )
+            standard = standardize(weighted, tol=tol, zeros="strict")
             iterations = standard.iterations
             residual = standard.residual
-            tma_value = _tma_from_standard(standard, backend)
+            tma_value = _tma_from_standard(standard)
         except (NotNormalizableError, ConvergenceError):
             if tma_fallback == "raise":
                 raise
             if tma_fallback == "limit":
                 try:
-                    standard = standardize(
-                        weighted,
-                        tol=tol,
-                        zeros="limit",
-                        backend=backend,
-                        precision=precision,
-                    )
+                    standard = standardize(weighted, tol=tol, zeros="limit")
                 except NotNormalizableError:
                     # Even the eq. 9 limit may not exist (the margins can
                     # be infeasible outright, e.g. one machine compatible
@@ -198,7 +178,7 @@ def characterize(
                     method = "limit"
                     iterations = standard.iterations
                     residual = standard.residual
-                    tma_value = _tma_from_standard(standard, backend)
+                    tma_value = _tma_from_standard(standard)
             else:
                 method = "column"
                 tma_value = tma(weighted, method="column")

@@ -30,7 +30,7 @@ field                  meaning
 The scaling vectors are what make **warm starts** possible: any
 ScalingOutcome can be passed as ``warm_start=`` to a later Sinkhorn
 run on a perturbed copy of the same environment, which re-applies
-``D1``/``D2`` before iterating (see ``docs/BACKENDS.md``).
+``D1``/``D2`` before iterating (see ``docs/API.md``).
 
 Code written against these seven names works on any of the three
 results.  The pre-protocol batch spellings (``matrices``,

@@ -11,8 +11,12 @@ For matrices with zero entries the iteration may fail to converge
 (paper Section VI); :mod:`repro.structure` predicts this from the zero
 pattern alone.
 
-The kernel is fully vectorized: one iteration is two sums and two
-broadcast multiplies, O(T·M) with no Python-level loops over entries.
+Every scaling call runs one in-place core, :func:`_scale_stack`, over
+an ``(N, T, M)`` stack with per-line target vectors: the scalar entry
+points here run it on a one-slice view, and
+:func:`repro.batch.sinkhorn_knopp_batched` on the whole stack.  One
+iteration is two sums and two broadcast multiplies, O(N·T·M) with no
+Python-level loops over entries.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from .._validation import (
     as_float_matrix,
     check_positive_scalar,
 )
-from ..backends import resolve_backend
-from ..backends.base import check_precision, coerce_warm_start, run_sinkhorn
 from ..exceptions import ConvergenceError, MatrixValueError
 from ..obs import metrics as _metrics
 from ..obs import span as _obs_span
@@ -94,6 +96,158 @@ def _check_deadline(deadline_s: float | None) -> float | None:
     return time.monotonic() + float(deadline_s)
 
 
+def coerce_warm_start(
+    warm_start, n_slices: int, n_rows: int, n_cols: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validated, fresh ``((N, T), (N, M))`` float64 warm-start scales.
+
+    ``warm_start`` is a previous scaling result (anything exposing
+    ``row_scale``/``col_scale``, e.g. a ``NormalizationResult``,
+    ``StandardFormResult`` or ``BatchNormalizationResult``) or an
+    explicit ``(row_scale, col_scale)`` pair.  A single ``(T,)``/``(M,)``
+    pair broadcasts to every slice; per-slice ``(N, T)``/``(N, M)``
+    arrays are used as-is.
+    """
+    if hasattr(warm_start, "row_scale") and hasattr(warm_start, "col_scale"):
+        row, col = warm_start.row_scale, warm_start.col_scale
+    else:
+        try:
+            row, col = warm_start
+        except (TypeError, ValueError):
+            raise MatrixValueError(
+                "warm_start must be a previous scaling result (with "
+                ".row_scale/.col_scale) or a (row_scale, col_scale) pair, "
+                f"got {warm_start!r}"
+            ) from None
+    row = np.asarray(row, dtype=np.float64)
+    col = np.asarray(col, dtype=np.float64)
+    if row.ndim == 1 and col.ndim == 1:
+        row = np.broadcast_to(row, (n_slices, row.shape[0]))
+        col = np.broadcast_to(col, (n_slices, col.shape[0]))
+    if row.shape != (n_slices, n_rows) or col.shape != (n_slices, n_cols):
+        raise MatrixValueError(
+            f"warm_start scaling vectors must have shape ({n_rows},) and "
+            f"({n_cols},) — or ({n_slices}, {n_rows}) and "
+            f"({n_slices}, {n_cols}) per slice — got {row.shape} and "
+            f"{col.shape}"
+        )
+    for vec, what in ((row, "row_scale"), (col, "col_scale")):
+        if not np.isfinite(vec).all() or (vec <= 0).any():
+            raise MatrixValueError(
+                f"warm_start {what} must be strictly positive and finite"
+            )
+    return row.copy(), col.copy()
+
+
+def _warm_started(work: np.ndarray, warm_start):
+    """``(work, row_scale, col_scale)`` for an ``(N, T, M)`` stack, with
+    the warm-start scales applied (unit scales when there are none)."""
+    n_slices, n_rows, n_cols = work.shape
+    if warm_start is None:
+        return work, np.ones((n_slices, n_rows)), np.ones((n_slices, n_cols))
+    rows, cols = coerce_warm_start(warm_start, n_slices, n_rows, n_cols)
+    # Same expression as scale_by_diagonals, so a warm start from a
+    # converged run reproduces that result bit-for-bit.
+    return rows[:, :, None] * work * cols[:, None, :], rows, cols
+
+
+def _scale_stack(
+    work: np.ndarray,
+    row_targets: np.ndarray,
+    col_targets: np.ndarray,
+    *,
+    tol: float,
+    max_iterations: int,
+    row_scale: np.ndarray,
+    col_scale: np.ndarray,
+    t_end: float | None,
+    on_progress=None,
+):
+    """Run eq. (9) in place over an ``(N, T, M)`` stack.
+
+    ``work`` and the ``(N, T)``/``(N, M)`` scale accumulators are
+    updated in place; the targets are ``(T,)``/``(M,)`` vectors.  A
+    slice freezes the moment its residual reaches ``tol``, so its
+    iterate sequence is the same whichever slices share the stack.
+    The still-active slices are gathered into one contiguous sub-stack;
+    a slice is written back when it freezes, and the stragglers when
+    the loop stops (``max_iterations`` or the monotonic end time
+    ``t_end``, checked once per iteration).  ``on_progress`` receives
+    the active-slice count before every iteration.
+
+    Returns ``(histories, iterations, residual, converged,
+    iterations_run, timed_out)``: per-slice residual lists (entry 0 is
+    the residual at entry), per-slice iteration counts, final
+    residuals, the convergence mask, the iterations the loop ran, and
+    whether ``t_end`` stopped it.
+    """
+    # A slice's column sums are computed once per iterate: for the
+    # residual check, then reused by the next column pass.
+    col_sums = work.sum(axis=1)
+    residual = np.maximum(
+        np.abs(work.sum(axis=2) - row_targets).max(axis=1),
+        np.abs(col_sums - col_targets).max(axis=1),
+    )
+    histories = [[r] for r in residual.tolist()]
+    converged = residual <= tol
+    iterations = np.zeros(work.shape[0], dtype=np.int64)
+    idx = np.flatnonzero(~converged)
+    sub, rs, cs = work[idx], row_scale[idx], col_scale[idx]
+    col_sums = col_sums[idx]
+    traces = [histories[i] for i in idx.tolist()]
+    iterations_run = 0
+    timed_out = False
+    while idx.size and iterations_run < max_iterations:
+        if t_end is not None and time.monotonic() >= t_end:
+            timed_out = True
+            break
+        if on_progress is not None:
+            on_progress(idx.size)
+        # Column pass (eq. 9, odd k), then row pass (even k): scale
+        # every column, then every row, to its target.
+        col_factors = col_targets / col_sums
+        sub *= col_factors[:, None, :]
+        row_factors = row_targets / sub.sum(axis=2)
+        sub *= row_factors[:, :, None]
+        # The accumulated diagonal scales can overflow for
+        # non-normalizable zero patterns (they genuinely diverge while
+        # the matrix iterates stay bounded); that is reported through
+        # ConvergenceError, not a warning.
+        with np.errstate(over="ignore"):
+            cs *= col_factors
+            rs *= row_factors
+        iterations_run += 1
+        col_sums = sub.sum(axis=1)
+        res = np.maximum(
+            np.abs(sub.sum(axis=2) - row_targets).max(axis=1),
+            np.abs(col_sums - col_targets).max(axis=1),
+        )
+        for trace, value in zip(traces, res.tolist()):
+            trace.append(value)
+        done = res <= tol
+        if done.any():
+            frozen = idx[done]
+            work[frozen] = sub[done]
+            row_scale[frozen] = rs[done]
+            col_scale[frozen] = cs[done]
+            residual[frozen] = res[done]
+            iterations[frozen] = iterations_run
+            converged[frozen] = True
+            keep = ~done
+            idx, sub, rs, cs, col_sums, res = (
+                idx[keep], sub[keep], rs[keep], cs[keep], col_sums[keep],
+                res[keep],
+            )
+            traces = [t for t, k in zip(traces, keep.tolist()) if k]
+    if iterations_run and idx.size:
+        work[idx] = sub
+        row_scale[idx] = rs
+        col_scale[idx] = cs
+        residual[idx] = res
+        iterations[idx] = iterations_run
+    return histories, iterations, residual, converged, iterations_run, timed_out
+
+
 @dataclass(frozen=True)
 class NormalizationResult:
     """Outcome of the alternating-scaling iteration.
@@ -141,6 +295,101 @@ def _residual(matrix: np.ndarray, row_target: float, col_target: float) -> float
     return float(max(row_err, col_err))
 
 
+def _nonnegative_copy(matrix) -> np.ndarray:
+    """The validated float64 working copy every scalar entry point
+    iterates on."""
+    work = as_float_matrix(matrix, name="matrix").copy()
+    if np.isinf(work).any():
+        raise MatrixValueError("matrix must be finite (got inf entries)")
+    if (work < 0).any():
+        raise MatrixValueError("matrix must be non-negative")
+    return work
+
+
+def _scale_matrix(
+    work: np.ndarray,
+    row_targets: np.ndarray,
+    col_targets: np.ndarray,
+    *,
+    kernel: str,
+    what: str,
+    tol: float,
+    max_iterations: int,
+    require_convergence: bool,
+    deadline_s: float | None,
+    warm_start,
+    row_target: float,
+    col_target: float,
+) -> NormalizationResult:
+    """Drive the core on one validated matrix (the body shared by
+    :func:`sinkhorn_knopp` and :func:`scale_to_margins`).
+
+    ``kernel`` labels the span (``sinkhorn.<kernel>``) and metrics;
+    ``what`` names the subject of a :class:`ConvergenceError`.
+    """
+    if (work.sum(axis=1) == 0).any() or (work.sum(axis=0) == 0).any():
+        raise MatrixValueError(
+            "matrix has an all-zero row or column; no scaling can fix that"
+        )
+    n_rows, n_cols = work.shape
+    stack, row_scale, col_scale = _warm_started(work[None], warm_start)
+    t_end = _check_deadline(deadline_s)
+    with _obs_span(f"sinkhorn.{kernel}", rows=n_rows, cols=n_cols) as sp:
+        histories, iterations, _, converged, _, timed_out = _scale_stack(
+            stack,
+            row_targets,
+            col_targets,
+            tol=tol,
+            max_iterations=max_iterations,
+            row_scale=row_scale,
+            col_scale=col_scale,
+            t_end=t_end,
+        )
+        history = histories[0]
+        iterations = int(iterations[0])
+        converged = bool(converged[0])
+        sp.note(
+            iterations=iterations,
+            converged=converged,
+            residual=history[-1],
+            timed_out=timed_out,
+        )
+        sp.sample("residual", history)
+    _metrics.observe_sinkhorn(
+        kernel,
+        iterations=iterations,
+        residual=history[-1],
+        converged=converged,
+    )
+    if warm_start is not None:
+        _metrics.count_warm_start(
+            f"sinkhorn_{kernel}", "converged" if converged else "pending"
+        )
+    if not converged and require_convergence:
+        raise ConvergenceError(
+            convergence_message(
+                what,
+                tol=tol,
+                iterations=iterations,
+                residual=history[-1],
+                deadline_s=deadline_s if timed_out else None,
+            ),
+            iterations=iterations,
+            residual=history[-1],
+        )
+    return NormalizationResult(
+        matrix=stack[0],
+        row_scale=row_scale[0],
+        col_scale=col_scale[0],
+        converged=converged,
+        iterations=iterations,
+        residual=history[-1],
+        residual_history=tuple(history),
+        row_target=row_target,
+        col_target=col_target,
+    )
+
+
 def sinkhorn_knopp(
     matrix,
     *,
@@ -150,8 +399,6 @@ def sinkhorn_knopp(
     max_iterations: int = 100_000,
     require_convergence: bool = True,
     deadline_s: float | None = None,
-    backend=None,
-    precision: str | None = None,
     warm_start=None,
 ) -> NormalizationResult:
     """Scale ``matrix`` so rows sum to ``row_target`` and columns to
@@ -186,15 +433,6 @@ def sinkhorn_knopp(
         :class:`~repro.exceptions.ConvergenceError` naming the expired
         deadline is raised under ``require_convergence=True``), so a
         non-normalizable input can never hang a caller past its budget.
-    backend : str or KernelBackend, optional
-        Kernel backend running the inner loop (see
-        :mod:`repro.backends`); defaults to the ``REPRO_BACKEND``
-        environment variable, then the numpy reference.
-    precision : {"float64", "float32"}, optional
-        ``"float32"`` runs a coarse single-precision phase first, then
-        verifies the derived scales against a float64 residual check
-        and polishes in float64 — the result is always
-        float64-verified.  Default ``"float64"``.
     warm_start : ScalingOutcome or (row_scale, col_scale), optional
         Scaling vectors from a previous run (e.g. on an unperturbed
         copy of this matrix) applied before iterating, so
@@ -215,13 +453,7 @@ def sinkhorn_knopp(
     identical to the procedure the paper reports converging in 6 and 7
     iterations on the SPEC CINT/CFP matrices.
     """
-    be = resolve_backend(backend)
-    precision = check_precision(precision)
-    work = as_float_matrix(matrix, name="matrix").copy()
-    if np.isinf(work).any():
-        raise MatrixValueError("matrix must be finite (got inf entries)")
-    if (work < 0).any():
-        raise MatrixValueError("matrix must be non-negative")
+    work = _nonnegative_copy(matrix)
     n_rows, n_cols = work.shape
     row_target = check_positive_scalar(row_target, name="row_target")
     implied = n_rows * row_target / n_cols
@@ -234,85 +466,17 @@ def sinkhorn_knopp(
                 "inconsistent targets: need T*row_target == M*col_target "
                 f"({n_rows}*{row_target} != {n_cols}*{col_target})"
             )
-    row_sums = work.sum(axis=1)
-    col_sums = work.sum(axis=0)
-    if (row_sums == 0).any() or (col_sums == 0).any():
-        raise MatrixValueError(
-            "matrix has an all-zero row or column; no scaling can fix that"
-        )
-
-    row_scale = np.ones(n_rows, dtype=np.float64)
-    col_scale = np.ones(n_cols, dtype=np.float64)
-    if warm_start is not None:
-        warm_rows, warm_cols = coerce_warm_start(warm_start, n_rows, n_cols)
-        # Same expression as scale_by_diagonals, so a warm start from a
-        # converged run reproduces that result bit-for-bit.
-        work = warm_rows[:, None] * work * warm_cols[None, :]
-        row_scale = warm_rows.copy()
-        col_scale = warm_cols.copy()
-    history = [_residual(work, row_target, col_target)]
-    converged = history[0] <= tol
-    iterations = 0
-    t_end = _check_deadline(deadline_s)
-    timed_out = False
-    precision_outcome = None
-    with _obs_span("sinkhorn.scalar", rows=n_rows, cols=n_cols) as sp:
-        if not converged:
-            row_targets = np.full(n_rows, row_target, dtype=np.float64)
-            col_targets = np.full(n_cols, col_target, dtype=np.float64)
-            iterations, converged, timed_out, precision_outcome = run_sinkhorn(
-                be,
-                work,
-                row_targets,
-                col_targets,
-                tol=tol,
-                max_iterations=max_iterations,
-                row_scale=row_scale,
-                col_scale=col_scale,
-                history=history,
-                t_end=t_end,
-                precision=precision,
-            )
-        sp.note(
-            iterations=iterations,
-            converged=converged,
-            residual=history[-1],
-            timed_out=timed_out,
-        )
-        sp.sample("residual", history)
-    _metrics.observe_sinkhorn(
-        "scalar",
-        iterations=iterations,
-        residual=history[-1],
-        converged=converged,
-    )
-    _metrics.count_backend_dispatch(be.name, "sinkhorn_scalar")
-    if precision_outcome is not None:
-        _metrics.count_backend_precision(be.name, precision_outcome)
-    if warm_start is not None:
-        _metrics.count_warm_start(
-            "sinkhorn_scalar", "converged" if converged else "pending"
-        )
-    if not converged and require_convergence:
-        raise ConvergenceError(
-            convergence_message(
-                "row/column normalization",
-                tol=tol,
-                iterations=iterations,
-                residual=history[-1],
-                deadline_s=deadline_s if timed_out else None,
-            ),
-            iterations=iterations,
-            residual=history[-1],
-        )
-    return NormalizationResult(
-        matrix=work,
-        row_scale=row_scale,
-        col_scale=col_scale,
-        converged=converged,
-        iterations=iterations,
-        residual=history[-1],
-        residual_history=tuple(history),
+    return _scale_matrix(
+        work,
+        np.full(n_rows, row_target),
+        np.full(n_cols, col_target),
+        kernel="scalar",
+        what="row/column normalization",
+        tol=tol,
+        max_iterations=max_iterations,
+        require_convergence=require_convergence,
+        deadline_s=deadline_s,
+        warm_start=warm_start,
         row_target=row_target,
         col_target=col_target,
     )
@@ -327,8 +491,6 @@ def scale_to_margins(
     max_iterations: int = 100_000,
     require_convergence: bool = True,
     deadline_s: float | None = None,
-    backend=None,
-    precision: str | None = None,
     warm_start=None,
 ) -> NormalizationResult:
     """Scale ``matrix`` to *prescribed, possibly unequal* margins.
@@ -348,16 +510,10 @@ def scale_to_margins(
     Returns a :class:`NormalizationResult`; ``row_target``/``col_target``
     are reported as NaN since the per-line targets are vectors here, and
     the residual is the largest absolute deviation from the prescribed
-    margins.  ``backend``/``precision``/``warm_start`` behave exactly as
-    in :func:`sinkhorn_knopp`.
+    margins.  ``deadline_s``/``warm_start`` behave exactly as in
+    :func:`sinkhorn_knopp`.
     """
-    be = resolve_backend(backend)
-    precision = check_precision(precision)
-    work = as_float_matrix(matrix, name="matrix").copy()
-    if np.isinf(work).any():
-        raise MatrixValueError("matrix must be finite (got inf entries)")
-    if (work < 0).any():
-        raise MatrixValueError("matrix must be non-negative")
+    work = _nonnegative_copy(matrix)
     n_rows, n_cols = work.shape
     r = np.ascontiguousarray(row_sums, dtype=np.float64).reshape(-1)
     c = np.ascontiguousarray(col_sums, dtype=np.float64).reshape(-1)
@@ -373,87 +529,17 @@ def scale_to_margins(
             "inconsistent margins: sum(row_sums) must equal sum(col_sums) "
             f"({r.sum():g} != {c.sum():g})"
         )
-    if (work.sum(axis=1) == 0).any() or (work.sum(axis=0) == 0).any():
-        raise MatrixValueError(
-            "matrix has an all-zero row or column; no scaling can fix that"
-        )
-
-    def residual(mat: np.ndarray) -> float:
-        return float(
-            max(
-                np.abs(mat.sum(axis=1) - r).max(),
-                np.abs(mat.sum(axis=0) - c).max(),
-            )
-        )
-
-    row_scale = np.ones(n_rows, dtype=np.float64)
-    col_scale = np.ones(n_cols, dtype=np.float64)
-    if warm_start is not None:
-        warm_rows, warm_cols = coerce_warm_start(warm_start, n_rows, n_cols)
-        work = warm_rows[:, None] * work * warm_cols[None, :]
-        row_scale = warm_rows.copy()
-        col_scale = warm_cols.copy()
-    history = [residual(work)]
-    converged = history[0] <= tol
-    iterations = 0
-    t_end = _check_deadline(deadline_s)
-    timed_out = False
-    precision_outcome = None
-    with _obs_span("sinkhorn.margins", rows=n_rows, cols=n_cols) as sp:
-        if not converged:
-            iterations, converged, timed_out, precision_outcome = run_sinkhorn(
-                be,
-                work,
-                r,
-                c,
-                tol=tol,
-                max_iterations=max_iterations,
-                row_scale=row_scale,
-                col_scale=col_scale,
-                history=history,
-                t_end=t_end,
-                precision=precision,
-            )
-        sp.note(
-            iterations=iterations,
-            converged=converged,
-            residual=history[-1],
-            timed_out=timed_out,
-        )
-        sp.sample("residual", history)
-    _metrics.observe_sinkhorn(
-        "margins",
-        iterations=iterations,
-        residual=history[-1],
-        converged=converged,
-    )
-    _metrics.count_backend_dispatch(be.name, "sinkhorn_margins")
-    if precision_outcome is not None:
-        _metrics.count_backend_precision(be.name, precision_outcome)
-    if warm_start is not None:
-        _metrics.count_warm_start(
-            "sinkhorn_margins", "converged" if converged else "pending"
-        )
-    if not converged and require_convergence:
-        raise ConvergenceError(
-            convergence_message(
-                "margin scaling",
-                tol=tol,
-                iterations=iterations,
-                residual=history[-1],
-                deadline_s=deadline_s if timed_out else None,
-            ),
-            iterations=iterations,
-            residual=history[-1],
-        )
-    return NormalizationResult(
-        matrix=work,
-        row_scale=row_scale,
-        col_scale=col_scale,
-        converged=converged,
-        iterations=iterations,
-        residual=history[-1],
-        residual_history=tuple(history),
+    return _scale_matrix(
+        work,
+        r,
+        c,
+        kernel="margins",
+        what="margin scaling",
+        tol=tol,
+        max_iterations=max_iterations,
+        require_convergence=require_convergence,
+        deadline_s=deadline_s,
+        warm_start=warm_start,
         row_target=float("nan"),
         col_target=float("nan"),
     )

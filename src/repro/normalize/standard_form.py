@@ -141,8 +141,6 @@ def standardize(
     require_convergence: bool = True,
     zeros: str = "strict",
     deadline_s: float | None = None,
-    backend=None,
-    precision: str | None = None,
     warm_start=None,
 ) -> StandardFormResult:
     """Convert an ECS matrix to standard form.
@@ -160,12 +158,11 @@ def standardize(
         Passed to :func:`repro.normalize.sinkhorn_knopp`; ``deadline_s``
         bounds the iteration in wall-clock time (graceful degradation —
         see :mod:`repro.robust`).
-    backend, precision, warm_start
-        Kernel backend, float32 fast path and warm-start scaling
-        vectors, passed straight to
-        :func:`repro.normalize.sinkhorn_knopp` (see
-        :mod:`repro.backends`).  A previous ``StandardFormResult`` on a
-        near-identical matrix is a valid ``warm_start``.
+    warm_start
+        Warm-start scaling vectors, passed straight to
+        :func:`repro.normalize.sinkhorn_knopp`.  A previous
+        ``StandardFormResult`` on a near-identical matrix is a valid
+        ``warm_start``.
     zeros : {"strict", "limit"}
         How to treat zero patterns for which no exact scaling
         ``D1 (ECS) D2`` with the required sums exists (Section VI):
@@ -237,8 +234,6 @@ def standardize(
         max_iterations=max_iterations,
         require_convergence=require_convergence,
         deadline_s=deadline_s,
-        backend=backend,
-        precision=precision,
         warm_start=warm_start,
     )
     return StandardFormResult(

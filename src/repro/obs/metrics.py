@@ -633,36 +633,6 @@ def count_member_outcomes(
         counter.inc(len(indices), outcome=f"fault.{category}")
 
 
-def count_backend_dispatch(
-    backend: str, kernel: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one kernel invocation by backend (``repro.backends``)."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_backend_dispatch_total",
-        "Kernel invocations by backend and kernel entry point.",
-        labelnames=("backend", "kernel"),
-    ).inc(backend=backend, kernel=kernel)
-
-
-def count_backend_precision(
-    backend: str, outcome: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record a float32 fast-path outcome (``verified``/``fallback``)."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_backend_precision_total",
-        "float32 fast-path outcomes: float64-verified vs discarded.",
-        labelnames=("backend", "outcome"),
-    ).inc(backend=backend, outcome=outcome)
-
-
 def count_warm_start(
     kernel: str, outcome: str, registry: MetricsRegistry | None = None
 ) -> None:

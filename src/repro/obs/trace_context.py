@@ -379,7 +379,9 @@ def set_tracer(tracer: Tracer | None) -> Tracer | None:
 def tracing(path: str, *, process: str | None = None):
     """Install a JSONL-backed process tracer for the enclosed block.
 
-    >>> with tracing("spans.jsonl") as tracer:
+    >>> import os, tempfile
+    >>> path = os.path.join(tempfile.mkdtemp(), "spans.jsonl")
+    >>> with tracing(path) as tracer:
     ...     ctx = TraceContext.new()
     ...     with tracer.span("work", ctx):
     ...         pass

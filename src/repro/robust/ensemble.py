@@ -153,10 +153,10 @@ class RobustBatchNormalizationResult(BatchNormalizationResult):
 def _robust_worker(args: tuple) -> tuple:
     """Module-level worker (picklable): one member's scalar columns,
     optionally delayed by an injected chaos stall."""
-    matrix, tol, tma_fallback, backend, precision, stall_s = args
+    matrix, tol, tma_fallback, stall_s = args
     if stall_s > 0:
         time.sleep(stall_s)
-    return _characterize_columns((matrix, tol, tma_fallback, backend, precision))
+    return _characterize_columns((matrix, tol, tma_fallback))
 
 
 def _lenient_member(env):
@@ -276,19 +276,13 @@ def characterize_ensemble_robust(
     policy: str = "quarantine",
     budget: Budget | None = None,
     fault_plan: FaultPlan | None = None,
-    backend=None,
-    precision: str | None = None,
 ) -> RobustEnsembleCharacterization:
     """Characterize an ensemble, isolating faulty members.
 
     Parameters match :func:`repro.batch.characterize_ensemble` plus the
     robust knobs (``policy``, ``budget``, ``fault_plan`` — see the
     module docstring).  Healthy members' results are bit-identical to a
-    fault-free run of the same ensemble.  ``backend``/``precision``
-    select the kernel backend exactly as in the plain pipeline; the
-    repair ladder itself always re-runs on the default backend (a
-    repair attempt is already a fallback, so it uses the reference
-    kernels).
+    fault-free run of the same ensemble.
 
     Examples
     --------
@@ -378,8 +372,6 @@ def characterize_ensemble_robust(
             tol=tol,
             max_iterations=max_iterations,
             deadline_s=deadline.remaining(),
-            backend=backend,
-            precision=precision,
         )
         for pos, i in enumerate(batch_idx):
             if b_conv[pos]:
@@ -410,8 +402,6 @@ def characterize_ensemble_robust(
                 members[i],
                 tol,
                 tma_fallback,
-                backend,
-                precision,
                 fault_plan.stall_seconds(i) if fault_plan is not None else 0.0,
             )
             for i in scalar_idx
@@ -489,8 +479,6 @@ def standardize_batched_robust(
     policy: str = "quarantine",
     budget: Budget | None = None,
     fault_plan: FaultPlan | None = None,
-    backend=None,
-    precision: str | None = None,
 ) -> RobustBatchNormalizationResult:
     """Standardize a stack, isolating slices that cannot be scaled.
 
@@ -500,9 +488,7 @@ def standardize_batched_robust(
     (``converged=False``) but are recorded as ``non-convergent``
     faults.  ``policy="repair"`` retries structural faults through
     :func:`repro.robust.repaired_matrix` and non-convergent slices
-    through the tolerance-backoff ladder.  ``backend``/``precision``
-    select the kernel backend for the healthy-slice batched pass
-    (repair retries always use the reference kernels).
+    through the tolerance-backoff ladder.
 
     Examples
     --------
@@ -548,8 +534,6 @@ def standardize_batched_robust(
             max_iterations=max_iterations,
             require_convergence=False,
             deadline_s=deadline.remaining(),
-            backend=backend,
-            precision=precision,
         )
         row_target = partial.row_target
         col_target = partial.col_target

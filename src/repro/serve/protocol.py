@@ -12,10 +12,10 @@ JSON over HTTP, one document per request.  Three POST endpoints:
     ``{"matrix": [[...]], "tol"?, "policy"?, "backend"?}`` → the
     measure-driven mapping-heuristic recommendation.
 
-``backend`` selects the registered kernel backend
-(:mod:`repro.backends`) running the request; it defaults to
-``"numpy"`` and is part of the cache identity, so the same matrix
-served by two backends occupies two cache entries.
+``backend`` is accepted for protocol compatibility, but only as
+``"numpy"`` (the default); the normalized value stays part of the
+cache identity, so cache keys are unchanged from when it selected a
+kernel backend.
 
 Every endpoint additionally accepts ``deadline_ms`` — the caller's
 end-to-end latency budget in milliseconds.  A request that can no
@@ -174,13 +174,10 @@ def parse_request(endpoint: str, payload) -> ServeRequest:
         )
     options["policy"] = policy
 
-    from ..backends import list_backends
-
     backend = payload.get("backend", "numpy")
-    if backend not in list_backends():
+    if backend != "numpy":
         raise ProtocolError(
-            f"'backend' must be one of {list(list_backends())}, "
-            f"got {backend!r}"
+            f"'backend' must be one of ['numpy'], got {backend!r}"
         )
     options["backend"] = backend
 

@@ -87,6 +87,7 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     422: "Unprocessable Entity",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -95,6 +96,10 @@ _REASONS = {
 #: Protects the event loop from unbounded request bodies (16 MiB is a
 #: ~1448x1448 float64 matrix — far beyond any sane ETC environment).
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: The ``StreamReader`` line limit (asyncio's default): a longer
+#: request or header line is answered with 431.
+_LINE_LIMIT = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -260,7 +265,6 @@ class CharacterizationServer:
             tol=options["tol"],
             tma_fallback=options.get("tma_fallback", "limit"),
             policy=options.get("policy", "quarantine"),
-            backend=options.get("backend"),
             budget=budget,
         )
         out: list = []
@@ -288,7 +292,6 @@ class CharacterizationServer:
             tol=options["tol"],
             max_iterations=options.get("max_iterations", 100_000),
             policy=options.get("policy", "quarantine"),
-            backend=options.get("backend"),
             budget=budget,
         )
         report = getattr(result, "report", None)
@@ -776,16 +779,21 @@ class CharacterizationServer:
 
     # -- the socket layer ----------------------------------------------
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _read_and_exchange(
+        self, reader: asyncio.StreamReader
+    ) -> tuple | None:
+        """Read one request off ``reader`` and answer it.
+
+        Returns ``(status, content_type, body, headers)``, or None when
+        the peer sent no request line.  Malformed framing is answered
+        here: a line longer than the stream's line limit gets 431, a
+        negative or non-integer ``Content-Length`` 400, and an
+        oversized body 413.
+        """
         try:
-            request_line = await reader.readline()
-            parts = request_line.decode("latin-1").split()
+            parts = (await reader.readline()).decode("latin-1").split()
             if len(parts) < 2:
-                return
-            method, target = parts[0].upper(), parts[1]
-            content_length = 0
+                return None
             request_headers: dict[str, str] = {}
             while True:
                 line = await reader.readline()
@@ -793,32 +801,45 @@ class CharacterizationServer:
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 request_headers[name.strip().lower()] = value.strip()
-            try:
-                content_length = int(
-                    request_headers.get("content-length", "0")
-                )
-            except ValueError:
-                content_length = 0
-            headers: dict[str, str] = {}
-            if content_length > MAX_BODY_BYTES:
-                status, ctype, body = 413, "application/json", error_body(
-                    None, "bad-request",
-                    f"body of {content_length} bytes exceeds the "
-                    f"{MAX_BODY_BYTES}-byte limit",
-                )
-            else:
-                body_in = (
-                    await reader.readexactly(content_length)
-                    if content_length
-                    else b""
-                )
-                self._active_exchanges += 1
-                try:
-                    status, ctype, body, headers = await self.exchange(
-                        method, target, body_in, request_headers
-                    )
-                finally:
-                    self._active_exchanges -= 1
+        except ValueError:  # StreamReader.readline: line over its limit
+            return 431, "application/json", error_body(
+                None, "bad-request",
+                f"request header line exceeds the {_LINE_LIMIT}-byte limit",
+            ), {}
+        method, target = parts[0].upper(), parts[1]
+        length = request_headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            return 400, "application/json", error_body(
+                None, "bad-request",
+                f"Content-Length must be a non-negative integer, got "
+                f"{length!r}",
+            ), {}
+        content_length = int(length)
+        if content_length > MAX_BODY_BYTES:
+            return 413, "application/json", error_body(
+                None, "bad-request",
+                f"body of {content_length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            ), {}
+        body_in = (
+            await reader.readexactly(content_length) if content_length else b""
+        )
+        self._active_exchanges += 1
+        try:
+            return await self.exchange(
+                method, target, body_in, request_headers
+            )
+        finally:
+            self._active_exchanges -= 1
+
+    async def _handle_client(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        try:
+            response = await self._read_and_exchange(reader)
+            if response is None:
+                return
+            status, ctype, body, headers = response
             reason = _REASONS.get(status, "Unknown")
             extra = "".join(
                 f"{name}: {value}\r\n" for name, value in headers.items()
@@ -854,7 +875,10 @@ class CharacterizationServer:
         taken — the CLI turns that into a one-line actionable error.
         """
         self._server = await asyncio.start_server(
-            self._handle_client, host=self.config.host, port=self.config.port
+            self._handle_client,
+            host=self.config.host,
+            port=self.config.port,
+            limit=_LINE_LIMIT,
         )
         return self._server
 

@@ -9,7 +9,7 @@ T, M)`` slice with the in-memory pipeline, and merges the parts with
 kernels are per-slice independent, the merged result is bit-identical
 to characterizing the whole stack in RAM — the differential harness in
 ``tests/shard/test_differential.py`` pins exactly that, across
-backends and policies.
+policies.
 
 Two dispatch modes:
 
@@ -103,8 +103,6 @@ def _chunk_kwargs(
     tma_fallback,
     batched,
     policy,
-    backend,
-    precision,
 ) -> dict:
     return {
         "tol": tol,
@@ -112,8 +110,6 @@ def _chunk_kwargs(
         "tma_fallback": tma_fallback,
         "batched": batched,
         "policy": policy,
-        "backend": backend,
-        "precision": precision,
     }
 
 
@@ -404,8 +400,6 @@ def characterize_store(
     policy: str = "raise",
     budget=None,
     fault_plan=None,
-    backend=None,
-    precision: str | None = None,
 ):
     """Characterize a disk-backed ensemble with bounded peak memory.
 
@@ -430,7 +424,7 @@ def characterize_store(
         Chaos injection.  Data faults match the in-memory path exactly
         (absolute member indices); ``stall`` faults stall the shard's
         primary dispatch (see the module docstring).
-    tol, max_iterations, tma_fallback, batched, policy, backend, precision
+    tol, max_iterations, tma_fallback, batched, policy
         Exactly as :func:`repro.batch.characterize_ensemble`.
 
     Returns
@@ -506,8 +500,6 @@ def characterize_store(
         tma_fallback=tma_fallback,
         batched=batched,
         policy=policy,
-        backend=backend,
-        precision=precision,
     )
     if jobs == 1 or len(plan.shards) == 1:
         parts = _run_serial(

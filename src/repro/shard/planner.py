@@ -34,8 +34,8 @@ __all__ = [
 #: Peak-memory multiplier: the number of float64 copies of one chunk
 #: the streamed pipeline is budgeted to hold at once.  Measured upper
 #: bound for the fused standardize+SVD pass (input chunk, standard
-#: form, float32 fast-path copies, iteration temporaries, stacked SVD
-#: workspace, measure columns) with headroom; the memory-ceiling tests
+#: form, iteration temporaries, stacked SVD workspace, measure
+#: columns) with headroom; the memory-ceiling tests
 #: in ``tests/shard/`` assert real ``tracemalloc`` peaks stay under
 #: ``budget`` with this factor in place.
 WORKING_SET_FACTOR = 16

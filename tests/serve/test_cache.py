@@ -202,10 +202,10 @@ class TestKeyBasics:
         assert matrix_cache_key(matrix, options={"tol": 1e-6}) != plain
 
     def test_distinct_backends_distinct_keys(self):
-        # Part of the backend-dispatch contract: the same matrix served
-        # by two kernel backends occupies two cache entries, because
         # parse_request folds the normalized "backend" option into the
-        # request's cache identity.
+        # request's cache identity, so keys stay as they were when the
+        # option selected one of several kernel backends: "numpy" and
+        # an omitted field share one key, another value would not.
         from repro.serve.protocol import parse_request
 
         payload = {"matrix": [[1.0, 2.0], [3.0, 4.0]]}

@@ -207,3 +207,96 @@ class TestConcurrentHttpBurst:
             kernel_invocations(live_server.registry, "characterize")
             == before + 1
         )
+
+
+def _raw_exchange(server, data: bytes) -> bytes:
+    """Send raw bytes over one connection; the full raw response."""
+    import asyncio
+
+    async def exchange():
+        reader, writer = await asyncio.open_connection(
+            server.host, server.port
+        )
+        writer.write(data)
+        await writer.drain()
+        raw = await reader.read()
+        writer.close()
+        await writer.wait_closed()
+        return raw
+
+    return asyncio.run(exchange())
+
+
+@pytest.fixture
+def loop_errors(live_server):
+    """Contexts passed to the server loop's exception handler."""
+    import asyncio
+
+    errors: list[dict] = []
+    loop = live_server.handle._loop
+
+    async def install():
+        loop.set_exception_handler(lambda _loop, context: errors.append(context))
+
+    asyncio.run_coroutine_threadsafe(install(), loop).result(5)
+    yield errors
+
+    async def settle():
+        await asyncio.sleep(0.05)
+
+    asyncio.run_coroutine_threadsafe(settle(), loop).result(5)
+    assert errors == []
+
+
+class TestMalformedFraming:
+    @pytest.mark.parametrize("length", [b"-5", b"abc", b"1.5", b""])
+    def test_bad_content_length_400(self, live_server, loop_errors, length):
+        raw = _raw_exchange(
+            live_server,
+            b"POST /v1/characterize HTTP/1.1\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n",
+        )
+        assert raw.split(b"\r\n", 1)[0] == b"HTTP/1.1 400 Bad Request"
+        error = json.loads(raw.split(b"\r\n\r\n", 1)[1])["error"]
+        assert "Content-Length" in error["message"]
+
+    def test_overlong_header_line_431(self, live_server, loop_errors):
+        raw = _raw_exchange(
+            live_server,
+            b"POST /v1/characterize HTTP/1.1\r\n"
+            b"X-Padding: " + b"a" * 70_000 + b"\r\n\r\n",
+        )
+        assert raw.split(b"\r\n", 1)[0] == (
+            b"HTTP/1.1 431 Request Header Fields Too Large"
+        )
+
+    def test_server_keeps_serving_afterwards(self, live_server, loop_errors):
+        _raw_exchange(
+            live_server,
+            b"POST /v1/characterize HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        )
+        status, _ = live_server.post_json(
+            "characterize", {"matrix": [[1.0, 2.0], [3.0, 4.0]]}
+        )
+        assert status == 200
+
+
+class TestBackendField:
+    def test_numpy_is_the_same_request_as_no_field(self, live_server):
+        matrix = [[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]]
+        status, plain = live_server.post_json(
+            "characterize", {"matrix": matrix}
+        )
+        assert status == 200
+        status, explicit = live_server.post_json(
+            "characterize", {"matrix": matrix, "backend": "numpy"}
+        )
+        assert status == 200
+        assert explicit == plain
+
+    def test_other_backends_rejected_listing_numpy(self, live_server):
+        status, body = live_server.post_json(
+            "characterize", {"matrix": [[1.0, 2.0]], "backend": "numba"}
+        )
+        assert status == 400
+        assert "['numpy']" in json.loads(body)["error"]["message"]

@@ -8,18 +8,11 @@ equality.
 """
 
 import numpy as np
-import pytest
 
-from repro import list_backends
 from repro.robust.ensemble import RobustEnsembleCharacterization
 
 #: Measure columns every characterization result carries.
 RESULT_COLUMNS = ("mph", "tdh", "tma", "iterations", "converged", "batched")
-
-
-@pytest.fixture(params=list_backends())
-def backend(request):
-    return request.param
 
 
 def random_stack(n, t, m, *, seed=0):

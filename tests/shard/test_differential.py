@@ -1,8 +1,7 @@
 """Differential harness: sharded execution == in-memory, bit for bit.
 
-One (512, 8, 8) store is characterized through every combination of
-registered backend x robustness policy, serially and through the
-process pool, and compared with ``np.array_equal`` (no tolerance)
+One (512, 8, 8) store is characterized under every robustness policy,
+serially and through the process pool, and compared with ``np.array_equal`` (no tolerance)
 against ``characterize_ensemble`` on the same stack in RAM — including
 quarantine reports under injected faults.
 """
@@ -44,24 +43,20 @@ def fault_plan():
     )
 
 
-class TestPolicyBackendMatrix:
-    def test_raise_policy_matches(self, stack, store, backend):
-        whole = characterize_ensemble(stack, backend=backend)
-        sharded = characterize_store(store, chunk_size=CHUNK, backend=backend)
+class TestPolicyMatrix:
+    def test_raise_policy_matches(self, stack, store):
+        whole = characterize_ensemble(stack)
+        sharded = characterize_store(store, chunk_size=CHUNK)
         assert_results_equal(sharded, whole)
         assert not sharded.batched[100]  # scalar fallback kept
 
     @pytest.mark.parametrize("policy", ["quarantine", "repair"])
-    def test_faulty_policies_match(self, stack, store, backend, policy, fault_plan):
+    def test_faulty_policies_match(self, stack, store, policy, fault_plan):
         whole = characterize_ensemble(
-            stack, policy=policy, fault_plan=fault_plan, backend=backend
+            stack, policy=policy, fault_plan=fault_plan
         )
         sharded = characterize_store(
-            store,
-            chunk_size=CHUNK,
-            policy=policy,
-            fault_plan=fault_plan,
-            backend=backend,
+            store, chunk_size=CHUNK, policy=policy, fault_plan=fault_plan
         )
         assert_results_equal(sharded, whole)
         # The report carries absolute indices matching the plan's targets.

@@ -32,7 +32,6 @@ PUBLIC_MODULES = [
     "repro.obs",
     "repro.robust",
     "repro.serve",
-    "repro.backends",
     "repro.shard",
 ]
 
