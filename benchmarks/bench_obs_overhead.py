@@ -17,8 +17,8 @@ budget arithmetic (spans-per-run x cost-per-span / runtime) is visible
 in the persisted results file.
 
 A third claim covers the metrics registry (``repro.obs.metrics``):
-with collection disabled (the default), the hot-path feed helpers
-early-return, and their cost on a scalar Sinkhorn call — the smallest
+with collection disabled (the default), the hot-path metric feeds
+return at once, and their cost on a scalar Sinkhorn call — the smallest
 instrumented kernel, hence the worst case in relative terms — stays
 below 1% of the kernel runtime.
 """
@@ -93,19 +93,17 @@ def test_disabled_overhead_under_2_percent(write_result):
 
     # Metrics-registry disabled path, measured on the *scalar* Sinkhorn
     # kernel — the smallest instrumented unit, hence the worst case in
-    # relative terms.  sinkhorn_knopp makes exactly one observe_sinkhorn
-    # call per run; while collection is disabled that call is a single
-    # early return.
-    from repro.normalize.sinkhorn import sinkhorn_knopp
+    # relative terms.  sinkhorn_knopp feeds the Sinkhorn families with
+    # exactly one _observe_runs call per run; while collection is
+    # disabled that call is a single early return.
+    from repro.normalize.sinkhorn import _observe_runs, sinkhorn_knopp
 
     assert not obs_metrics.metrics_enabled()
     matrix = np.random.default_rng(7).uniform(0.5, 10.0, size=(24, 8))
     sinkhorn_knopp(matrix)  # warm caches
     kernel_s = _best_time(sinkhorn_knopp, matrix)
     disabled_observe_s = timeit.timeit(
-        lambda: obs_metrics.observe_sinkhorn(
-            "scalar", iterations=7, residual=1e-9, converged=True
-        ),
+        lambda: _observe_runs("scalar", (7,), (1e-9,), (True,)),
         number=n_iter,
     ) / n_iter
     feed_pct = disabled_observe_s / kernel_s * 100
@@ -140,7 +138,7 @@ def test_disabled_overhead_under_2_percent(write_result):
         f"enabled recording session            : {enabled_s * 1e3:8.2f} ms"
         f"  ({enabled_pct:+.1f}% vs disabled)",
         f"scalar sinkhorn_knopp(24x8)          : {kernel_s * 1e6:8.1f} us",
-        f"disabled observe_sinkhorn            : "
+        f"disabled Sinkhorn metric feed        : "
         f"{disabled_observe_s * 1e9:8.1f} ns/call",
         f"disabled metrics feed (1 call/run)   : {feed_pct:8.4f} %"
         f"  (acceptance < 1%)",

@@ -217,7 +217,9 @@ def _characterize_stack_batched(
         "svd.batched", slices=sub.shape[0], rows=sub.shape[1], cols=sub.shape[2]
     ):
         values = np.linalg.svd(standard.matrix, compute_uv=False)
-    _metrics.observe_svd("batched", time.perf_counter() - t0)
+    _metrics.observe(
+        "repro_svd_seconds", time.perf_counter() - t0, kernel="batched"
+    )
     if values.shape[1] < 2:
         tma = np.zeros(sub.shape[0], dtype=np.float64)
     else:
@@ -422,7 +424,9 @@ def characterize_ensemble(
         if rec is not None:
             rec.counter("ensemble.slices", len(members))
             rec.counter("ensemble.fallback_slices", len(members))
-        _metrics.count_ensemble_members(fallback=len(members))
+        _metrics.inc(
+            "repro_ensemble_members_total", len(members), path="fallback"
+        )
         items = [(member, tol, tma_fallback) for member in members]
         columns = parallel_map(_characterize_columns, items, n_jobs=n_jobs)
         return _from_columns(columns, n_tasks=None, n_machines=None)
@@ -447,9 +451,12 @@ def characterize_ensemble(
         rec.counter("ensemble.slices", n_slices)
         rec.counter("ensemble.batched_slices", int(positive.sum()))
         rec.counter("ensemble.fallback_slices", int((~positive).sum()))
-    _metrics.count_ensemble_members(
-        batched=int(positive.sum()), fallback=int((~positive).sum())
-    )
+    for path, count in (
+        ("batched", int(positive.sum())),
+        ("fallback", int((~positive).sum())),
+    ):
+        if count:
+            _metrics.inc("repro_ensemble_members_total", count, path=path)
 
     mph = np.empty(n_slices, dtype=np.float64)
     tdh = np.empty(n_slices, dtype=np.float64)

@@ -34,6 +34,7 @@ from ..normalize.outcome import _removed_alias
 from ..normalize.sinkhorn import (
     NormalizationResult,
     _check_deadline,
+    _observe_runs,
     _scale_stack,
     _warm_started,
     convergence_message,
@@ -237,16 +238,12 @@ def sinkhorn_knopp_batched(
             max_residual=float(residual.max()),
             timed_out=timed_out,
         )
-    _metrics.observe_sinkhorn_batch(
-        "batched",
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
-    )
+    _observe_runs("batched", iterations, residual, converged)
     if warm_start is not None:
-        _metrics.count_warm_start(
-            "sinkhorn_batched",
-            "converged" if bool(converged.all()) else "pending",
+        _metrics.inc(
+            "repro_backend_warm_start_total",
+            kernel="sinkhorn_batched",
+            outcome="converged" if bool(converged.all()) else "pending",
         )
     if require_convergence and not converged.all():
         bad = np.flatnonzero(~converged)

@@ -76,7 +76,9 @@ def standard_singular_values(
     t0 = time.perf_counter()
     with _obs_span("svd.scalar", rows=shape[0], cols=shape[1]):
         values = scipy.linalg.svdvals(standard.matrix)
-    _metrics.observe_svd("scalar", time.perf_counter() - t0)
+    _metrics.observe(
+        "repro_svd_seconds", time.perf_counter() - t0, kernel="scalar"
+    )
     return values
 
 
@@ -157,7 +159,9 @@ def tma(
             "svd.scalar", rows=normalized.shape[0], cols=normalized.shape[1]
         ):
             values = scipy.linalg.svdvals(normalized)
-        _metrics.observe_svd("scalar", time.perf_counter() - t0)
+        _metrics.observe(
+            "repro_svd_seconds", time.perf_counter() - t0, kernel="scalar"
+        )
         if values.shape[0] < 2:
             return 0.0
         raw = float(values[1:].sum() / ((values.shape[0] - 1) * values[0]))

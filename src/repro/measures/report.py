@@ -101,7 +101,9 @@ def _tma_from_standard(standard) -> float:
     t0 = time.perf_counter()
     with _obs_span("svd.scalar", rows=shape[0], cols=shape[1]):
         values = scipy.linalg.svdvals(standard.matrix)
-    _metrics.observe_svd("scalar", time.perf_counter() - t0)
+    _metrics.observe(
+        "repro_svd_seconds", time.perf_counter() - t0, kernel="scalar"
+    )
     if values.shape[0] < 2:
         return 0.0
     return float(min(max(values[1:].sum() / (values.shape[0] - 1), 0.0), 1.0))
@@ -183,7 +185,7 @@ def characterize(
                 method = "column"
                 tma_value = tma(weighted, method="column")
         sp.note(tma_method=method, iterations=iterations)
-    _metrics.count_characterize(method)
+    _metrics.inc("repro_characterize_runs_total", tma_method=method)
 
     return HeterogeneityProfile(
         mph=average_adjacent_ratio(mp),

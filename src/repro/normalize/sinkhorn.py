@@ -289,6 +289,26 @@ class NormalizationResult:
         return _residual(self.matrix, self.row_target, self.col_target)
 
 
+def _observe_runs(kernel: str, iterations, residuals, converged) -> None:
+    """Feed the Sinkhorn metric families, one observation per run.
+
+    A batched run passes per-slice sequences and counts every slice as
+    one run; a scalar run passes one-element sequences.
+    """
+    if not _metrics.metrics_enabled():
+        return
+    for its, residual, ok in zip(iterations, residuals, converged):
+        _metrics.inc(
+            "repro_sinkhorn_runs_total",
+            kernel=kernel,
+            converged="true" if ok else "false",
+        )
+        _metrics.observe("repro_sinkhorn_iterations", int(its), kernel=kernel)
+        _metrics.observe(
+            "repro_sinkhorn_exit_residual", float(residual), kernel=kernel
+        )
+
+
 def _residual(matrix: np.ndarray, row_target: float, col_target: float) -> float:
     row_err = np.abs(matrix.sum(axis=1) - row_target).max()
     col_err = np.abs(matrix.sum(axis=0) - col_target).max()
@@ -355,15 +375,12 @@ def _scale_matrix(
             timed_out=timed_out,
         )
         sp.sample("residual", history)
-    _metrics.observe_sinkhorn(
-        kernel,
-        iterations=iterations,
-        residual=history[-1],
-        converged=converged,
-    )
+    _observe_runs(kernel, (iterations,), (history[-1],), (converged,))
     if warm_start is not None:
-        _metrics.count_warm_start(
-            f"sinkhorn_{kernel}", "converged" if converged else "pending"
+        _metrics.inc(
+            "repro_backend_warm_start_total",
+            kernel=f"sinkhorn_{kernel}",
+            outcome="converged" if converged else "pending",
         )
     if not converged and require_convergence:
         raise ConvergenceError(

@@ -1,13 +1,10 @@
-"""repro.obs — zero-dependency structured tracing for the compute layers.
+"""repro.obs — zero-dependency tracing and metrics for the compute layers.
 
-The observability subsystem answers "where do time and iterations go"
-for the library's hot paths: Sinkhorn normalization (scalar and
-batched), the SVD behind TMA, the scheduling heuristics and the
-analysis fan-outs.  It is pure stdlib (contextvars + time + json +
-logging) and costs almost nothing when disabled.
+Answers "where do time and iterations go" for the library's hot paths
+— Sinkhorn normalization, the SVD behind TMA, the scheduling
+heuristics, the analysis fan-outs — and the serving and shard layers
+around them.  Pure stdlib; almost free when disabled.
 
-Quickstart
-----------
 >>> from repro import characterize
 >>> from repro.obs import recording, summary
 >>> with recording() as rec:
@@ -16,30 +13,26 @@ Quickstart
 >>> stats.covers("sinkhorn") and stats.covers("svd")
 True
 
-Core pieces
------------
-* :func:`recording` — activate a contextvar-scoped :class:`Recorder`
-  for a ``with`` block (optionally wiring a JSONL trace file or a
-  :mod:`logging` bridge).
-* :func:`span` / :func:`traced` — instrument a region / a function;
-  no-ops when no recorder is active.
-* :func:`current_recorder` — ambient-recorder lookup for hot loops
-  that guard per-iteration sampling.
-* :func:`summary` — count/total/p50/p95/p99 aggregation per span name,
-  the table behind ``repro-hc profile``.
-* Sinks: :class:`MemorySink`, :class:`JsonlSink`, :class:`LoggingSink`
-  (anything matching the :class:`Sink` protocol works).
-* Metrics: a process-wide :class:`MetricsRegistry` of labelled
-  counters, gauges and fixed-bucket histograms that the hot paths feed
-  while :func:`enable_metrics` (or :func:`collecting_metrics`) is
-  active; :func:`render_prometheus` / :func:`start_metrics_server`
-  expose it in Prometheus text format, :func:`chrome_trace` /
-  :func:`convert_trace_jsonl` convert recorder output into Chrome
-  ``about:tracing`` JSON, and :func:`run_bench` / :func:`compare_bench`
-  drive the machine-readable ``repro-hc bench`` regression pipeline.
+* **One span model.**  :func:`span` / :func:`traced` instrument a
+  region / a function (no-ops without a recorder); an open span binds
+  its own context, so its children nest under it — across a coalesced
+  kernel thread, or in a shard worker handed a :class:`TraceContext`.
+  A :class:`Recorder` turns spans, counters and gauges into records of
+  one schema for its sinks (:class:`MemorySink`, :class:`JsonlSink`,
+  :class:`RotatingJsonlSink`, :class:`LoggingSink`);
+  :meth:`Recorder.emit_span` records a region timed across awaits.
+  :func:`recording` keeps a session in memory, :func:`tracing` writes a
+  process-wide JSONL trace and keeps nothing; :func:`summary`,
+  :func:`load_spans` and :func:`query_traces` read them back.
+* **Metrics.**  A process-wide :class:`MetricsRegistry` fed through
+  the gated verbs ``metrics.inc`` / ``observe`` / ``set`` from one
+  family table (:data:`repro.obs.metrics.FAMILIES`);
+  :func:`render_prometheus` / :func:`start_metrics_server` expose it,
+  :func:`chrome_trace` converts span records for Perfetto, and
+  :func:`run_bench` / :func:`compare_bench` drive ``repro-hc bench``.
 
-See ``docs/OBSERVABILITY.md`` for the recorder model, sink selection,
-the metrics/export layer and measured overhead numbers.
+See ``docs/OBSERVABILITY.md`` for the span model, sinks, the metrics
+layer and measured overhead.
 """
 
 from .bench import (
@@ -52,7 +45,7 @@ from .bench import (
     validate_bench,
     write_bench,
 )
-from .events import CounterEvent, GaugeEvent, SpanEvent
+from .events import GaugeEvent, SpanEvent
 from .export import (
     PROMETHEUS_CONTENT_TYPE,
     chrome_trace,
@@ -81,6 +74,7 @@ from .recorder import (
     recording,
     span,
     traced,
+    tracing,
 )
 from .sinks import JsonlSink, LoggingSink, MemorySink, RotatingJsonlSink, Sink
 from .summary import SpanStats, SpanSummary, summarize, summary
@@ -88,12 +82,8 @@ from .trace_context import (
     TIMING_STAGES,
     RequestTrace,
     TraceContext,
-    Tracer,
     current_trace,
-    current_tracer,
-    set_tracer,
     trace_scope,
-    tracing,
 )
 from .trace_query import (
     TraceView,
@@ -114,7 +104,6 @@ __all__ = [
     "SpanSummary",
     "SpanStats",
     "SpanEvent",
-    "CounterEvent",
     "GaugeEvent",
     "Sink",
     "MemorySink",
@@ -123,11 +112,8 @@ __all__ = [
     "LoggingSink",
     "TraceContext",
     "RequestTrace",
-    "Tracer",
     "TIMING_STAGES",
     "current_trace",
-    "current_tracer",
-    "set_tracer",
     "trace_scope",
     "tracing",
     "TraceView",

@@ -1,20 +1,9 @@
-"""Structured event records emitted by the :mod:`repro.obs` recorder.
+"""Structured records of the :mod:`repro.obs` recorder.
 
-Three event kinds cover the instrumentation needs of the compute
-layers:
-
-* :class:`SpanEvent` — one timed region (a Sinkhorn run, an SVD call,
-  one heuristic execution) with wall/CPU duration, nesting depth,
-  free-form metadata and optional per-iteration sample series
-  (e.g. the residual after every Sinkhorn iteration).
-* :class:`CounterEvent` — a monotonically accumulated count (trials
-  fanned out, scheduling decisions committed).
-* :class:`GaugeEvent` — a point-in-time value (active-mask occupancy,
-  stack memory footprint).
-
-Events are plain frozen dataclasses with a :meth:`to_record` method
-producing the JSON-safe dict representation every sink consumes, so
-new sinks never need to know about the dataclasses themselves.
+:class:`SpanEvent` is one closed timed region; :class:`GaugeEvent` one
+point-in-time value.  :meth:`SpanEvent.to_record` produces the
+JSON-safe dict every sink consumes (counter records are plain dicts),
+so sinks never need to know about the dataclasses themselves.
 """
 
 from __future__ import annotations
@@ -22,19 +11,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-__all__ = ["SpanEvent", "CounterEvent", "GaugeEvent", "jsonable"]
+__all__ = ["SpanEvent", "GaugeEvent", "jsonable"]
 
 
 def jsonable(value: Any) -> Any:
     """Best-effort coercion of metadata values to JSON-safe types.
 
-    Numpy scalars (which carry ``item()``), bools, ints, floats and
-    strings pass through; sequences are converted element-wise; anything
-    else falls back to ``str`` so a sink can never raise on emit.
+    Numpy scalars and 0-d arrays (which carry ``item()``), bools, ints,
+    floats and strings pass through; mappings and sequences are
+    converted element-wise; anything else falls back to ``str`` so a
+    sink can never raise on emit.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    if hasattr(value, "item") and not hasattr(value, "__len__"):
+    if getattr(value, "ndim", None) == 0 or (
+        hasattr(value, "item") and not hasattr(value, "__len__")
+    ):
         try:
             return jsonable(value.item())
         except (ValueError, TypeError):
@@ -44,7 +36,10 @@ def jsonable(value: Any) -> Any:
     if isinstance(value, (list, tuple)) or (
         hasattr(value, "__iter__") and hasattr(value, "__len__")
     ):
-        return [jsonable(v) for v in value]
+        try:
+            return [jsonable(v) for v in value]
+        except TypeError:
+            return str(value)
     return str(value)
 
 
@@ -52,35 +47,18 @@ def jsonable(value: Any) -> Any:
 class SpanEvent:
     """One closed timed region.
 
-    Attributes
-    ----------
-    name : str
-        Dotted span name (``"sinkhorn.scalar"``, ``"svd.batched"``,
-        ``"scheduling.min_min"`` ...).
-    index : int
-        Sequence number within the recorder (0-based, close order).
-    depth : int
-        Nesting depth at entry (0 = top level).
-    start : float
-        Entry time in seconds relative to the recorder's epoch.
-    wall_s, cpu_s : float
-        Wall-clock and process-CPU duration of the region.
-    meta : dict
-        Free-form annotations attached via ``span.note(...)`` (matrix
-        shape, iteration count, makespan, ...).
-    samples : dict of str -> tuple of float
-        Named per-iteration series attached via ``span.sample(...)``
-        (convergence residuals, active-mask occupancy, ...).
-    error : str or None
-        Exception type name when the region exited by raising.
-    trace_id, span_id, parent_id : str or None
-        Distributed-trace identity (W3C format), stamped when a
-        :class:`repro.obs.trace_context.TraceContext` was ambient while
-        the span closed.  None for untraced runs, and omitted from the
-        record so existing sinks and tooling see unchanged output.
-    links : tuple of dict
-        Span links (``{"trace_id", "span_id"}``) for fan-in spans such
-        as a batched kernel serving several request traces.
+    ``name`` is dotted (``"sinkhorn.scalar"``, ``"svd.batched"``);
+    ``index`` the close order within the recorder; ``depth`` the nesting
+    depth at entry (0 = top level); ``start`` the wall-clock entry time
+    (``time.time()`` seconds, so spans of separate processes share one
+    timeline); ``wall_s`` / ``cpu_s`` the wall and process-CPU duration
+    (``cpu_s`` is 0.0 for spans timed by the caller across awaits).
+    ``meta`` holds ``span.note(...)`` annotations, ``samples`` the
+    ``span.sample(...)`` series, ``error`` the exception type name of a
+    region that raised.  ``trace_id`` / ``span_id`` / ``parent_id`` are
+    the W3C identity, stamped when a trace context was ambient (records
+    of untraced spans omit them); ``links`` point a fan-in span (a
+    batched kernel) at every request span it served.
     """
 
     name: str
@@ -117,28 +95,31 @@ class SpanEvent:
         if self.trace_id is not None:
             record["trace_id"] = self.trace_id
             record["span_id"] = self.span_id
-            if self.parent_id is not None:
-                record["parent_id"] = self.parent_id
+            record["parent_id"] = self.parent_id
             if self.links:
                 record["links"] = [dict(link) for link in self.links]
         return record
 
-
-@dataclass(frozen=True)
-class CounterEvent:
-    """One counter increment (the recorder also keeps running totals)."""
-
-    name: str
-    value: float
-    start: float
-
-    def to_record(self) -> dict:
-        return {
-            "type": "counter",
-            "name": self.name,
-            "value": self.value,
-            "start": self.start,
-        }
+    @classmethod
+    def from_record(cls, record: dict) -> "SpanEvent":
+        """The event a :meth:`to_record` dict describes."""
+        return cls(
+            name=record["name"],
+            index=record["index"],
+            depth=record["depth"],
+            start=record["start"],
+            wall_s=record["wall_s"],
+            cpu_s=record["cpu_s"],
+            meta=record["meta"],
+            samples={
+                k: tuple(v) for k, v in record.get("samples", {}).items()
+            },
+            error=record.get("error"),
+            trace_id=record.get("trace_id"),
+            span_id=record.get("span_id"),
+            parent_id=record.get("parent_id"),
+            links=tuple(record.get("links", ())),
+        )
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,14 @@
 """Standard export formats for the obs layer.
 
-Two consumers, two formats:
-
-* **Prometheus text exposition** (:func:`render_prometheus`) of a
-  :class:`~repro.obs.MetricsRegistry`, plus a stdlib-only scrape
-  endpoint (:func:`start_metrics_server`, ``repro-hc serve-metrics``).
-  The rendering follows the classic ``text/plain; version=0.0.4``
-  format: ``# HELP`` / ``# TYPE`` headers, escaped label values, and
-  cumulative ``_bucket`` series with ``_sum`` / ``_count`` for
-  histograms.
+* **Prometheus text exposition** (:func:`render_prometheus`, classic
+  ``text/plain; version=0.0.4``) of a :class:`~repro.obs.MetricsRegistry`,
+  plus a stdlib scrape endpoint (:func:`start_metrics_server`,
+  ``repro-hc serve-metrics``).
 * **Chrome trace-event JSON** (:func:`chrome_trace`,
-  :func:`convert_trace_jsonl`, ``repro-hc trace convert``) built from
-  the span/counter JSONL that :func:`repro.obs.recording` streams
-  (``repro-hc profile -o trace.jsonl``).  The output loads directly in
-  ``chrome://tracing`` and Perfetto: spans become complete (``"X"``)
-  events with microsecond timestamps, counters and gauges become
-  counter (``"C"``) tracks.
+  :func:`convert_trace_jsonl`, ``repro-hc trace convert``) from span
+  records: spans become complete (``"X"``) events, counters and gauges
+  counter (``"C"``) tracks, loadable in ``chrome://tracing`` and
+  Perfetto.
 """
 
 from __future__ import annotations

@@ -1,27 +1,19 @@
 """Process-wide metrics: labelled counters, gauges and histograms.
 
 The :class:`~repro.obs.Recorder` answers "where did time go" for one
-in-process recording session; this module is the durable sibling — a
-:class:`MetricsRegistry` that aggregates across *every* kernel call in
-the process and renders to standard formats
-(:func:`repro.obs.export.render_prometheus`).
+session; this module is the durable sibling — a :class:`MetricsRegistry`
+aggregating across every kernel call in the process, in the Prometheus
+data model: :class:`Counter` totals, :class:`Gauge` values and
+fixed-bucket :class:`Histogram` distributions, each carrying many
+label series (``repro_sinkhorn_runs_total{kernel="scalar",...}``).
 
-Three instrument kinds, mirroring the Prometheus data model:
+Every family the library publishes is one row of :data:`FAMILIES`.  Hot
+paths feed a family by name through three verbs — :func:`inc`,
+:func:`observe` and :func:`set` — which find the instrument in the
+default registry, creating it from its row on first use.
 
-* :class:`Counter` — monotonically increasing totals (kernel runs,
-  ensemble members by dispatch path, quarantine outcomes by taxonomy
-  slug);
-* :class:`Gauge` — point-in-time values (last folded recorder gauges);
-* :class:`Histogram` — fixed-bucket distributions (Sinkhorn
-  iterations-to-tolerance, residual at exit, SVD wall time, span
-  durations).
-
-Instruments are labelled: one metric name carries many label-value
-series (``repro_sinkhorn_runs_total{kernel="scalar",converged="true"}``).
-
-Collection is **off by default** and gated by a module-level flag so the
-instrumented hot paths pay one early-return function call per kernel
-*run* (never per iteration) while disabled —
+Collection is **off by default**: each verb returns at once on a
+module-level gate, a few calls per kernel *run* (never per iteration) —
 ``benchmarks/bench_obs_overhead.py`` pins this below 1% of a scalar
 Sinkhorn call.  Enable it explicitly::
 
@@ -53,27 +45,18 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "FAMILIES",
     "get_registry",
     "set_registry",
     "enable_metrics",
     "disable_metrics",
     "metrics_enabled",
     "collecting_metrics",
+    "inc",
+    "observe",
+    "set",
+    "preregister",
     "fold_recorder",
-    "observe_serve_request",
-    "observe_serve_scrape",
-    "observe_coalesce_batch",
-    "count_serve_kernel",
-    "count_serve_cache",
-    "count_serve_quarantined",
-    "count_serve_admitted",
-    "count_serve_shed",
-    "count_serve_deadline_exceeded",
-    "count_serve_drain",
-    "set_serve_admission_limit",
-    "register_serve_resilience_metrics",
-    "observe_shard_chunk",
-    "count_shard_dispatch",
     "ITERATION_BUCKETS",
     "RESIDUAL_BUCKETS",
     "SECONDS_BUCKETS",
@@ -87,23 +70,16 @@ _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 #: in 6-7 iterations; adversarial dynamic ranges push into the hundreds
 #: and non-normalizable patterns run to the ``max_iterations`` ceiling,
 #: so the grid is log-ish from 1 to the 100k default ceiling.
-ITERATION_BUCKETS = (
-    1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0,
-    500.0, 1_000.0, 10_000.0, 100_000.0,
-)
+ITERATION_BUCKETS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 500.0, 1e3, 1e4, 1e5)
 
 #: Residual at kernel exit.  Converged runs sit at or below the 1e-8
 #: default tolerance; the coarse upper decades characterize how far
 #: non-converged (Section VI) runs stalled.
-RESIDUAL_BUCKETS = (
-    1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0,
-)
+RESIDUAL_BUCKETS = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0)
 
 #: Wall-clock durations (SVD calls, folded span times).  Sub-100 µs
 #: scalar kernels up through minute-scale analysis fan-outs.
-SECONDS_BUCKETS = (
-    1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0,
-)
+SECONDS_BUCKETS = (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0)
 
 #: Coalesced batch sizes (powers of two up to the default max-batch
 #: ceilings the server offers).  A healthy coalescer under concurrent
@@ -149,7 +125,8 @@ class _Metric:
         self._series: dict[tuple[str, ...], object] = {}
 
     def _key(self, labels: dict) -> tuple[str, ...]:
-        if set(labels) != set(self.labelnames):
+        # frozenset, not set: the module-level verb ``set`` shadows it.
+        if labels.keys() != frozenset(self.labelnames):
             raise ValueError(
                 f"metric {self.name!r} takes labels "
                 f"{sorted(self.labelnames)}, got {sorted(labels)}"
@@ -233,7 +210,7 @@ class Histogram(_Metric):
             raise ValueError(f"histogram {name!r} needs at least one bucket")
         if any(
             not math.isfinite(b) for b in bounds
-        ) or list(bounds) != sorted(set(bounds)):
+        ) or list(bounds) != sorted(frozenset(bounds)):
             raise ValueError(
                 f"histogram {name!r} buckets must be finite and strictly "
                 f"increasing, got {bounds}"
@@ -508,159 +485,147 @@ def collecting_metrics(registry: MetricsRegistry | None = None):
             set_registry(previous_registry)
 
 
-# -- pre-specified instruments fed by the compute layers ---------------
+# -- the metric families the library publishes --------------------------
 #
-# Helpers rather than module-level instrument objects so a swapped
-# default registry (collecting_metrics(fresh)) is always the one fed.
-# Every helper early-returns while the gate is closed; that early
-# return IS the disabled-path cost the overhead benchmark budgets.
+# One row per family: (name, kind, label names, buckets, help).  Hot
+# paths feed a family by name through the gated verbs below, so a
+# family's identity — what ``/metrics`` shows under TYPE and HELP — is
+# spelled out here and nowhere else.  Comments list the label values
+# the callers use.
+
+FAMILIES = (
+    # kernel: scalar | margins | batched; batched runs count per slice.
+    ("repro_sinkhorn_runs_total", "counter", ("kernel", "converged"), None,
+     "Sinkhorn kernel runs by kernel and convergence outcome."),
+    ("repro_sinkhorn_iterations", "histogram", ("kernel",), ITERATION_BUCKETS,
+     "Full (column+row) Sinkhorn iterations to tolerance per run."),
+    ("repro_sinkhorn_exit_residual", "histogram", ("kernel",), RESIDUAL_BUCKETS,
+     "Largest row/column-sum deviation at kernel exit."),
+    # outcome: converged | pending.
+    ("repro_backend_warm_start_total", "counter", ("kernel", "outcome"), None,
+     "Warm-started Sinkhorn runs by kernel and convergence outcome."),
+    ("repro_svd_seconds", "histogram", ("kernel",), SECONDS_BUCKETS,
+     "Wall time of the singular-value decompositions behind TMA."),
+    # path: batched | fallback.
+    ("repro_ensemble_members_total", "counter", ("path",), None,
+     "Ensemble members characterized, by kernel dispatch path."),
+    # outcome: quarantined | repaired | fault.<taxonomy slug>.
+    ("repro_member_outcomes_total", "counter", ("outcome",), None,
+     "Robust ensemble member outcomes by quarantine taxonomy slug."),
+    ("repro_characterize_runs_total", "counter", ("tma_method",), None,
+     "Full heterogeneity characterizations by TMA method."),
+    # Folded from completed recordings by fold_recorder().
+    ("repro_span_seconds", "histogram", ("span",), SECONDS_BUCKETS,
+     "Wall time of recorded obs spans, by span name."),
+    ("repro_spans_total", "counter", ("span",), None,
+     "Recorded obs spans, by span name."),
+    ("repro_span_errors_total", "counter", ("span",), None,
+     "Recorded obs spans that exited by raising, by span name."),
+    ("repro_obs_counter_total", "counter", ("counter",), None,
+     "Recorder counter totals folded at session close, by name."),
+    ("repro_obs_gauge", "gauge", ("gauge",), None,
+     "Last recorded obs gauge value, by name."),
+    # source: cold | batched | inflight | cache-memory | cache-disk |
+    # shed | error.  Scrapes never land here (see the scrape families).
+    ("repro_serve_requests_total", "counter", ("endpoint", "status"), None,
+     "Characterization service requests by endpoint and HTTP status."),
+    ("repro_serve_request_seconds", "histogram",
+     ("endpoint", "source"), SECONDS_BUCKETS,
+     "Service request wall time by endpoint and serving path."),
+    # kind: metrics | healthz.
+    ("repro_serve_scrapes_total", "counter", ("kind", "status"), None,
+     "Observability scrapes (metrics/health endpoints) by kind and status."),
+    ("repro_serve_scrape_seconds", "histogram", ("kind",), SECONDS_BUCKETS,
+     "Wall time of observability scrapes, by kind."),
+    ("repro_serve_coalesce_batch_size", "histogram", ("endpoint",), BATCH_SIZE_BUCKETS,
+     "Requests per coalesced kernel batch, by endpoint."),
+    ("repro_serve_kernel_invocations_total", "counter", ("endpoint",), None,
+     "Batched kernel calls issued by the coalescer, by endpoint."),
+    # event: hit-memory | hit-disk | miss | store | spill | spill_error.
+    ("repro_serve_cache_events_total", "counter", ("event",), None,
+     "Content-addressed result cache events."),
+    ("repro_serve_quarantined_total", "counter", ("endpoint", "category"), None,
+     "Service requests quarantined, by endpoint and fault category."),
+    ("repro_serve_admitted_total", "counter", ("endpoint",), None,
+     "Requests admitted to the compute path, by endpoint."),
+    # reason: queue-full | draining.
+    ("repro_serve_shed_total", "counter", ("endpoint", "reason"), None,
+     "Requests shed with a structured 503, by endpoint and reason."),
+    # stage: entry | admission | coalesce.
+    ("repro_serve_deadline_exceeded_total", "counter", ("endpoint", "stage"), None,
+     "Requests shed at their deadline, by endpoint and pipeline stage."),
+    # event: started | flushed | completed | timeout.
+    ("repro_serve_drain_total", "counter", ("event",), None,
+     "Graceful-drain lifecycle events."),
+    ("repro_serve_admission_limit", "gauge", ("endpoint",), None,
+     "Current adaptive admission limit, by endpoint."),
+    # mode: serial | pool.
+    ("repro_shard_chunks_total", "counter", ("mode",), None,
+     "Shard chunks characterized, by dispatch mode."),
+    ("repro_shard_members_total", "counter", ("mode",), None,
+     "Ensemble members streamed through the shard engine, by mode."),
+    ("repro_shard_chunk_seconds", "histogram", ("mode",), SECONDS_BUCKETS,
+     "Wall time of one shard chunk (read + characterize), by mode."),
+    # event: primary | speculative | winner_primary | winner_backup |
+    # cancelled.
+    ("repro_shard_dispatch_total", "counter", ("event",), None,
+     "Shard scheduler dispatch events (straggler mitigation)."),
+)
+
+_FAMILY_ROWS = {row[0]: row for row in FAMILIES}
 
 
-def observe_sinkhorn(
-    kernel: str,
-    *,
-    iterations: int,
-    residual: float,
-    converged: bool,
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Record one scalar Sinkhorn kernel run (scalar/margins kernels)."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_sinkhorn_runs_total",
-        "Sinkhorn kernel runs by kernel and convergence outcome.",
-        labelnames=("kernel", "converged"),
-    ).inc(kernel=kernel, converged="true" if converged else "false")
-    registry.histogram(
-        "repro_sinkhorn_iterations",
-        "Full (column+row) Sinkhorn iterations to tolerance per run.",
-        labelnames=("kernel",),
-        buckets=ITERATION_BUCKETS,
-    ).observe(iterations, kernel=kernel)
-    registry.histogram(
-        "repro_sinkhorn_exit_residual",
-        "Largest row/column-sum deviation at kernel exit.",
-        labelnames=("kernel",),
-        buckets=RESIDUAL_BUCKETS,
-    ).observe(residual, kernel=kernel)
+def _instrument(name: str, registry: MetricsRegistry) -> _Metric:
+    """``registry``'s instrument for family ``name``, made from its row
+    on first use (one dict lookup once it exists)."""
+    metric = registry._metrics.get(name)
+    if metric is None:
+        _, kind, labelnames, buckets, help = _FAMILY_ROWS[name]
+        extra = {} if buckets is None else {"buckets": buckets}
+        metric = registry._register(kind, name, help, labelnames, **extra)
+    return metric
 
 
-def observe_sinkhorn_batch(
-    kernel: str,
-    *,
-    iterations,
-    residual,
-    converged,
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Record every slice of a batched Sinkhorn run (per-slice arrays)."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    for it, res, conv in zip(iterations, residual, converged):
-        observe_sinkhorn(
-            kernel,
-            iterations=int(it),
-            residual=float(res),
-            converged=bool(conv),
-            registry=registry,
-        )
+# -- the three gated verbs ---------------------------------------------
+#
+# They feed the *current* default registry, so a swapped one
+# (collecting_metrics(fresh)) is always the one fed.  Each returns
+# at once while the gate is closed; that check IS the disabled-path
+# cost the overhead benchmark budgets.
 
 
-def observe_svd(
-    kernel: str, wall_s: float, registry: MetricsRegistry | None = None
-) -> None:
-    """Record the wall time of one SVD call (scalar or stacked)."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.histogram(
-        "repro_svd_seconds",
-        "Wall time of the singular-value decompositions behind TMA.",
-        labelnames=("kernel",),
-        buckets=SECONDS_BUCKETS,
-    ).observe(wall_s, kernel=kernel)
+def inc(name: str, value: float = 1.0, **labels) -> None:
+    """Add ``value`` to one series of counter family ``name``."""
+    if _enabled:
+        _instrument(name, _default_registry).inc(value, **labels)
 
 
-def count_ensemble_members(
-    *,
-    batched: int = 0,
-    fallback: int = 0,
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Record ensemble members by dispatch path (batched vs scalar)."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    counter = registry.counter(
-        "repro_ensemble_members_total",
-        "Ensemble members characterized, by kernel dispatch path.",
-        labelnames=("path",),
-    )
-    if batched:
-        counter.inc(batched, path="batched")
-    if fallback:
-        counter.inc(fallback, path="fallback")
+def observe(name: str, value: float, exemplar: dict | None = None, **labels) -> None:
+    """Record ``value`` into one series of histogram family ``name``.
 
-
-def count_member_outcomes(
-    report, registry: MetricsRegistry | None = None
-) -> None:
-    """Record robust-pipeline member outcomes by taxonomy slug.
-
-    ``report`` is a :class:`repro.robust.QuarantineReport`; outcomes are
-    ``quarantined``, ``repaired`` plus one series per fault-category
-    slug seen (``fault.nan_input``, ``fault.non_convergent``, ...).
+    ``exemplar`` (e.g. ``{"trace_id": ...}``) ties the bucket the value
+    fell into to a concrete trace.
     """
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    counter = registry.counter(
-        "repro_member_outcomes_total",
-        "Robust ensemble member outcomes by quarantine taxonomy slug.",
-        labelnames=("outcome",),
-    )
-    counter.inc(len(report.quarantined), outcome="quarantined")
-    counter.inc(len(report.repaired), outcome="repaired")
-    for category, indices in report.by_category().items():
-        counter.inc(len(indices), outcome=f"fault.{category}")
+    if _enabled:
+        _instrument(name, _default_registry).observe(value, exemplar, **labels)
 
 
-def count_warm_start(
-    kernel: str, outcome: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one warm-started Sinkhorn run and how it ended."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_backend_warm_start_total",
-        "Warm-started Sinkhorn runs by kernel and convergence outcome.",
-        labelnames=("kernel", "outcome"),
-    ).inc(kernel=kernel, outcome=outcome)
+def set(name: str, value: float, **labels) -> None:  # noqa: A001
+    """Set one series of gauge family ``name`` to ``value``."""
+    if _enabled:
+        _instrument(name, _default_registry).set(value, **labels)
 
 
-def count_characterize(
-    tma_method: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one full characterization by TMA method taken."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_characterize_runs_total",
-        "Full heterogeneity characterizations by TMA method.",
-        labelnames=("tma_method",),
-    ).inc(tma_method=tma_method)
+def preregister(*names: str) -> None:
+    """Register families ``names`` before their first sample.
+
+    The server preregisters its resilience families at startup, so a
+    scrape of a healthy server already shows their HELP/TYPE lines and
+    a dashboard wired against it keeps working once overload starts.
+    """
+    if _enabled:
+        for name in names:
+            _instrument(name, _default_registry)
 
 
 def fold_recorder(
@@ -680,382 +645,19 @@ def fold_recorder(
     """
     if registry is None:
         registry = _default_registry
-    span_seconds = registry.histogram(
-        "repro_span_seconds",
-        "Wall time of recorded obs spans, by span name.",
-        labelnames=("span",),
-        buckets=SECONDS_BUCKETS,
-    )
-    spans_total = registry.counter(
-        "repro_spans_total",
-        "Recorded obs spans, by span name.",
-        labelnames=("span",),
-    )
-    span_errors = registry.counter(
-        "repro_span_errors_total",
-        "Recorded obs spans that exited by raising, by span name.",
-        labelnames=("span",),
-    )
+    span_seconds = _instrument("repro_span_seconds", registry)
+    spans_total = _instrument("repro_spans_total", registry)
+    span_errors = _instrument("repro_span_errors_total", registry)
     for event in recorder.events:
         span_seconds.observe(event.wall_s, span=event.name)
         spans_total.inc(span=event.name)
         if event.error is not None:
             span_errors.inc(span=event.name)
-    counter_total = registry.counter(
-        "repro_obs_counter_total",
-        "Recorder counter totals folded at session close, by name.",
-        labelnames=("counter",),
-    )
+    counter_total = _instrument("repro_obs_counter_total", registry)
     for name, total in recorder.counters.items():
         counter_total.inc(total, counter=name)
-    if recorder.gauges:
-        gauge = registry.gauge(
-            "repro_obs_gauge",
-            "Last recorded obs gauge value, by name.",
-            labelnames=("gauge",),
-        )
-        for event in recorder.gauges:
+    gauges = recorder.gauges
+    if gauges:
+        gauge = _instrument("repro_obs_gauge", registry)
+        for event in gauges:
             gauge.set(event.value, gauge=event.name)
-
-
-# -- serving-layer instruments (repro.serve) ---------------------------
-#
-# Same contract as the kernel helpers above: early return while the
-# gate is closed, explicit registry override for isolated collection.
-
-
-def observe_serve_request(
-    endpoint: str,
-    *,
-    status: int,
-    source: str,
-    wall_s: float,
-    trace_id: str | None = None,
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Record one finished service request.
-
-    ``source`` names the path that produced the response bytes:
-    ``cold`` (computed in a batch of one), ``batched`` (computed in a
-    coalesced batch > 1), ``inflight`` (joined an identical in-flight
-    computation), ``cache-memory`` / ``cache-disk`` (content-addressed
-    cache hit), or ``error``.  Scrape traffic (``GET /metrics``,
-    ``/healthz*``) never lands here — it is recorded separately by
-    :func:`observe_serve_scrape` so it cannot skew the latency
-    distribution the adaptive admission controller tunes against.
-
-    ``trace_id`` attaches an OpenMetrics exemplar to the latency bucket
-    this request fell into, tying the histogram tail to a concrete
-    trace.
-    """
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_serve_requests_total",
-        "Characterization service requests by endpoint and HTTP status.",
-        labelnames=("endpoint", "status"),
-    ).inc(endpoint=endpoint, status=str(int(status)))
-    registry.histogram(
-        "repro_serve_request_seconds",
-        "Service request wall time by endpoint and serving path.",
-        labelnames=("endpoint", "source"),
-        buckets=SECONDS_BUCKETS,
-    ).observe(
-        wall_s,
-        exemplar={"trace_id": trace_id} if trace_id else None,
-        endpoint=endpoint,
-        source=source,
-    )
-
-
-def observe_serve_scrape(
-    kind: str,
-    *,
-    status: int,
-    wall_s: float,
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Record one observability scrape (``GET /metrics`` or ``/healthz*``).
-
-    Scrapes are kept out of ``repro_serve_requests_total`` /
-    ``repro_serve_request_seconds`` entirely: a 15-second Prometheus
-    scrape interval would otherwise pile sub-millisecond observations
-    into the serving histograms and drag the p99 the AIMD estimator
-    targets.  They get their own family instead, so scrape traffic is
-    still visible.
-    """
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_serve_scrapes_total",
-        "Observability scrapes (metrics/health endpoints) by kind and status.",
-        labelnames=("kind", "status"),
-    ).inc(kind=kind, status=str(int(status)))
-    registry.histogram(
-        "repro_serve_scrape_seconds",
-        "Wall time of observability scrapes, by kind.",
-        labelnames=("kind",),
-        buckets=SECONDS_BUCKETS,
-    ).observe(wall_s, kind=kind)
-
-
-def observe_coalesce_batch(
-    endpoint: str, size: int, registry: MetricsRegistry | None = None
-) -> None:
-    """Record the size of one flushed coalescer batch."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.histogram(
-        "repro_serve_coalesce_batch_size",
-        "Requests per coalesced kernel batch, by endpoint.",
-        labelnames=("endpoint",),
-        buckets=BATCH_SIZE_BUCKETS,
-    ).observe(size, endpoint=endpoint)
-
-
-def count_serve_kernel(
-    endpoint: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one batched kernel invocation issued by the service."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_serve_kernel_invocations_total",
-        "Batched kernel calls issued by the coalescer, by endpoint.",
-        labelnames=("endpoint",),
-    ).inc(endpoint=endpoint)
-
-
-def count_serve_cache(
-    event: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one result-cache event.
-
-    ``event`` is ``hit-memory``, ``hit-disk``, ``miss``, ``store`` or
-    ``spill``.
-    """
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_serve_cache_events_total",
-        "Content-addressed result cache events.",
-        labelnames=("event",),
-    ).inc(event=event)
-
-
-def count_serve_quarantined(
-    endpoint: str, category: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one request answered with a structured quarantine error."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_serve_quarantined_total",
-        "Service requests quarantined, by endpoint and fault category.",
-        labelnames=("endpoint", "category"),
-    ).inc(endpoint=endpoint, category=category)
-
-
-# -- serving resilience instruments (repro.serve.resilience) -----------
-
-
-def count_serve_admitted(
-    endpoint: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one request admitted past the admission controller."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_serve_admitted_total",
-        "Requests admitted to the compute path, by endpoint.",
-        labelnames=("endpoint",),
-    ).inc(endpoint=endpoint)
-
-
-def count_serve_shed(
-    endpoint: str, reason: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one request shed by the admission layer.
-
-    ``reason`` is ``queue-full`` (bounded pending queue overflowed) or
-    ``draining`` (graceful shutdown in progress); deadline sheds are
-    counted separately by :func:`count_serve_deadline_exceeded`.
-    """
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_serve_shed_total",
-        "Requests shed with a structured 503, by endpoint and reason.",
-        labelnames=("endpoint", "reason"),
-    ).inc(endpoint=endpoint, reason=reason)
-
-
-def count_serve_deadline_exceeded(
-    endpoint: str, stage: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one request shed because its deadline expired.
-
-    ``stage`` names where the expiry was caught: ``entry`` (already
-    expired when parsed), ``admission`` (expired while queued for a
-    slot) or ``coalesce`` (expired while lingering in a batch group).
-    """
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_serve_deadline_exceeded_total",
-        "Requests shed at their deadline, by endpoint and pipeline stage.",
-        labelnames=("endpoint", "stage"),
-    ).inc(endpoint=endpoint, stage=stage)
-
-
-def count_serve_drain(
-    event: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one graceful-drain lifecycle event.
-
-    ``event`` is ``started``, ``flushed`` (coalescer groups flushed
-    during the drain), ``completed`` (all in-flight requests finished)
-    or ``timeout`` (the drain deadline expired with work still live).
-    """
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_serve_drain_total",
-        "Graceful-drain lifecycle events.",
-        labelnames=("event",),
-    ).inc(event=event)
-
-
-def set_serve_admission_limit(
-    endpoint: str, limit: float, registry: MetricsRegistry | None = None
-) -> None:
-    """Publish the live AIMD admission limit of one endpoint."""
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.gauge(
-        "repro_serve_admission_limit",
-        "Current adaptive admission limit, by endpoint.",
-        labelnames=("endpoint",),
-    ).set(float(limit), endpoint=endpoint)
-
-
-def register_serve_resilience_metrics(
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Pre-register the resilience metric families (zero-valued).
-
-    The server calls this at startup so an operator scraping
-    ``/metrics`` sees the ``repro_serve_{admitted,shed,
-    deadline_exceeded,drain}_total`` families (HELP/TYPE lines) before
-    the first overload ever happens — a dashboard wired against a
-    healthy server keeps working when the weather turns.
-    """
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_serve_admitted_total",
-        "Requests admitted to the compute path, by endpoint.",
-        labelnames=("endpoint",),
-    )
-    registry.counter(
-        "repro_serve_shed_total",
-        "Requests shed with a structured 503, by endpoint and reason.",
-        labelnames=("endpoint", "reason"),
-    )
-    registry.counter(
-        "repro_serve_deadline_exceeded_total",
-        "Requests shed at their deadline, by endpoint and pipeline stage.",
-        labelnames=("endpoint", "stage"),
-    )
-    registry.counter(
-        "repro_serve_drain_total",
-        "Graceful-drain lifecycle events.",
-        labelnames=("event",),
-    )
-    registry.gauge(
-        "repro_serve_admission_limit",
-        "Current adaptive admission limit, by endpoint.",
-        labelnames=("endpoint",),
-    )
-
-
-# -- shard-engine instruments (repro.shard) ----------------------------
-
-
-def observe_shard_chunk(
-    mode: str,
-    *,
-    members: int,
-    wall_s: float,
-    registry: MetricsRegistry | None = None,
-) -> None:
-    """Record one completed shard chunk.
-
-    ``mode`` names the dispatch path: ``serial`` (streamed in-process)
-    or ``pool`` (scheduled on a worker process).
-    """
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_shard_chunks_total",
-        "Shard chunks characterized, by dispatch mode.",
-        labelnames=("mode",),
-    ).inc(mode=mode)
-    registry.counter(
-        "repro_shard_members_total",
-        "Ensemble members streamed through the shard engine, by mode.",
-        labelnames=("mode",),
-    ).inc(members, mode=mode)
-    registry.histogram(
-        "repro_shard_chunk_seconds",
-        "Wall time of one shard chunk (read + characterize), by mode.",
-        labelnames=("mode",),
-        buckets=SECONDS_BUCKETS,
-    ).observe(wall_s, mode=mode)
-
-
-def count_shard_dispatch(
-    event: str, registry: MetricsRegistry | None = None
-) -> None:
-    """Record one shard-scheduler dispatch event.
-
-    ``event`` is ``primary`` (first dispatch of a shard),
-    ``speculative`` (redundant re-dispatch of a straggling shard),
-    ``winner_primary`` / ``winner_backup`` (which copy finished first),
-    or ``cancelled`` (the losing copy was revoked or abandoned).
-    """
-    if registry is None:
-        if not _enabled:
-            return
-        registry = _default_registry
-    registry.counter(
-        "repro_shard_dispatch_total",
-        "Shard scheduler dispatch events (straggler mitigation).",
-        labelnames=("event",),
-    ).inc(event=event)

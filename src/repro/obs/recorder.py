@@ -1,35 +1,37 @@
-"""The contextvar-scoped recorder and its span/decorator front door.
+"""The one span model: a recorder, its spans and their front doors.
 
-Design (see ``docs/OBSERVABILITY.md`` for the full model):
+Library code opens spans with :func:`span` / :func:`traced` against the
+*ambient* recorder — a :mod:`contextvars` variable, falling back to the
+process-wide recorder :func:`tracing` installs — so instrumentation
+composes across call stacks, threads and asyncio tasks without a
+recorder argument.  With none active, :func:`span` returns a shared
+no-op singleton (one contextvar read; ``benchmarks/bench_obs_overhead.py``
+pins the cost below 2% of the batched pipeline).
 
-* Instrumented library code calls :func:`span` (a context manager) or
-  is wrapped in :func:`traced`.  Neither takes a recorder argument —
-  the *ambient* recorder is looked up in a :mod:`contextvars` variable,
-  so instrumentation composes across call stacks, threads and asyncio
-  tasks without threading a handle through every signature.
-* When no recorder is active (the default), :func:`span` returns a
-  shared no-op singleton: the entire cost of disabled instrumentation
-  is one contextvar read plus an attribute call, a few hundred
-  nanoseconds per span.  ``benchmarks/bench_obs_overhead.py`` pins
-  this below 2% of the batched-pipeline runtime.
-* :func:`recording` activates a fresh :class:`Recorder` for the
-  duration of a ``with`` block and restores the previous state on
-  exit, so recordings nest and never leak.
-
-Hot loops that want per-iteration samples should fetch the recorder
-once with :func:`current_recorder` and skip the sampling work entirely
-when it is ``None`` — see ``repro.batch.sinkhorn`` for the pattern.
+An open span binds its own depth and, under an ambient
+:class:`~repro.obs.TraceContext`, its own child context, so spans opened
+inside it — in this task, or in a context copied from it — nest under
+it.  Regions timed across awaits or in another process are recorded
+with :meth:`Recorder.emit_span`.  A recorder keeps records in memory
+only through a :class:`~repro.obs.MemorySink`: :func:`recording`
+attaches one, :func:`tracing` writes a JSONL file and keeps nothing.
+See ``docs/OBSERVABILITY.md`` for the record schema.
 """
 
 from __future__ import annotations
 
 import contextvars
 import functools
+import itertools
+import os
+import threading
 import time
 from contextlib import contextmanager
 from typing import Callable, Iterable
 
-from .events import CounterEvent, GaugeEvent, SpanEvent
+from .events import GaugeEvent, SpanEvent
+from .sinks import JsonlSink, LoggingSink, MemorySink
+from .trace_context import TraceContext, _trace_var
 
 __all__ = [
     "Recorder",
@@ -37,11 +39,18 @@ __all__ = [
     "recording",
     "span",
     "traced",
+    "tracing",
 ]
 
-_recorder_var: contextvars.ContextVar["Recorder | None"] = (
-    contextvars.ContextVar("repro_obs_recorder", default=None)
+# No default: ``get(_process_recorder)`` falls back to the process-wide
+# recorder wherever no recording is bound.
+_recorder_var: contextvars.ContextVar["Recorder"] = contextvars.ContextVar(
+    "repro_obs_recorder"
 )
+_depth_var: contextvars.ContextVar[int] = contextvars.ContextVar(
+    "repro_obs_depth", default=0
+)
+_process_recorder: "Recorder | None" = None
 
 
 def current_recorder() -> "Recorder | None":
@@ -55,72 +64,147 @@ def current_recorder() -> "Recorder | None":
             if rec is not None:
                 sp.sample("active_slices", int(active.sum()))
     """
-    return _recorder_var.get()
+    return _recorder_var.get(_process_recorder)
 
 
 class Recorder:
-    """Collects structured events for one recording session.
+    """Turns spans, counters and gauges into records for its sinks.
 
-    Attributes
-    ----------
-    events : list of SpanEvent
-        Closed spans in close order.
-    counters : dict of str -> float
-        Running totals accumulated via :meth:`counter`.
-    gauges : list of GaugeEvent
-        Point-in-time values recorded via :meth:`gauge`.
-    sinks : list
-        Sinks receiving every record as it is produced (counter totals
-        are additionally flushed on :meth:`close`).
+    The first :class:`~repro.obs.MemorySink` among ``sinks`` is the
+    recorder's memory (:attr:`events`, :attr:`gauges`).  ``process``
+    names the writer on every record beside its ``pid`` (``"repro"``
+    by default; ``"repro-serve"``, ``"shard-worker-<pid>"``).
+    ``counters`` holds running totals, flushed to the sinks as
+    ``counter_total`` records on :meth:`close`.  Safe to share between
+    threads: a server's event loop and its kernel threads feed one.
     """
 
-    def __init__(self, sinks: Iterable = ()) -> None:
-        self.events: list[SpanEvent] = []
-        self.counters: dict[str, float] = {}
-        self.gauges: list[GaugeEvent] = []
+    def __init__(self, sinks: Iterable = (), *, process: str | None = None) -> None:
         self.sinks = list(sinks)
+        self.process = process or "repro"
+        self.counters: dict[str, float] = {}
+        self._memory = next(
+            (s for s in self.sinks if isinstance(s, MemorySink)), None
+        )
         self._epoch = time.perf_counter()
-        self._depth = 0
-        self._index = 0
+        self._wall_epoch = time.time()
+        self._index = itertools.count()
+        self._lock = threading.Lock()
         self._closed = False
 
     # -- event intake --------------------------------------------------
 
-    def _now(self) -> float:
-        return time.perf_counter() - self._epoch
+    def _now(self, t: float | None = None) -> float:
+        """Wall-clock time of ``perf_counter`` reading ``t`` (default now)."""
+        if t is None:
+            t = time.perf_counter()
+        return self._wall_epoch + (t - self._epoch)
 
     def _emit(self, record: dict) -> None:
-        for sink in self.sinks:
-            sink.emit(record)
+        record["pid"] = os.getpid()
+        record["process"] = self.process
+        with self._lock:
+            for sink in self.sinks:
+                sink.emit(record)
 
-    def _record_span(self, event: SpanEvent) -> None:
-        self.events.append(event)
-        if self.sinks:
-            self._emit(event.to_record())
+    def _record_span(self, context: TraceContext | None, **fields) -> None:
+        """Emit one closed span; ``fields`` are :class:`SpanEvent` fields."""
+        if not self.sinks:
+            return
+        if context is not None:
+            fields.update(
+                trace_id=context.trace_id,
+                span_id=context.span_id,
+                parent_id=context.parent_id,
+            )
+        self._emit(SpanEvent(index=next(self._index), **fields).to_record())
+
+    def emit_span(
+        self,
+        name: str,
+        context: TraceContext,
+        *,
+        wall_s: float,
+        start: float | None = None,
+        meta: dict | None = None,
+        links=(),
+        error: str | None = None,
+    ) -> None:
+        """Record one span the caller timed itself under ``context``.
+
+        For regions a ``with span(...)`` block cannot cover: one timed
+        across awaits (``serve.request``), a fan-in batch with
+        ``links`` to every request it served (``serve.kernel``), or
+        work done in another process (``shard.dispatch``).  ``start``
+        is the wall-clock entry time (default: ``wall_s`` before now).
+        """
+        self._record_span(
+            context,
+            name=name,
+            depth=_depth_var.get(),
+            start=time.time() - wall_s if start is None else start,
+            wall_s=wall_s,
+            cpu_s=0.0,
+            meta=dict(meta) if meta else {},
+            error=error,
+            links=tuple(links),
+        )
+
+    def _point(self, kind: str, name: str, value: float) -> None:
+        self._emit(
+            {"type": kind, "name": name, "value": value, "start": self._now()}
+        )
 
     def counter(self, name: str, value: float = 1) -> None:
         """Accumulate ``value`` onto counter ``name``."""
-        self.counters[name] = self.counters.get(name, 0) + value
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + value
         if self.sinks:
-            self._emit(CounterEvent(name, value, self._now()).to_record())
+            self._point("counter", name, value)
 
     def gauge(self, name: str, value: float) -> None:
         """Record a point-in-time value."""
-        event = GaugeEvent(name, float(value), self._now())
-        self.gauges.append(event)
         if self.sinks:
-            self._emit(event.to_record())
+            self._point("gauge", name, float(value))
+
+    @contextmanager
+    def activate(self):
+        """Make this the ambient recorder for the enclosed block.
+
+        The recorder stays open afterwards: a server activates its one
+        trace recorder around every request it serves.
+        """
+        token = _recorder_var.set(self)
+        try:
+            yield self
+        finally:
+            _recorder_var.reset(token)
 
     # -- reading back --------------------------------------------------
 
+    def _kept(self, kind: str) -> list[dict]:
+        if self._memory is None:
+            return []
+        return [r for r in self._memory.records if r.get("type") == kind]
+
+    @property
+    def events(self) -> list[SpanEvent]:
+        """Closed spans in close order (empty without a MemorySink)."""
+        return [SpanEvent.from_record(r) for r in self._kept("span")]
+
+    @property
+    def gauges(self) -> list[GaugeEvent]:
+        """Recorded gauge values in order (empty without a MemorySink)."""
+        return [
+            GaugeEvent(r["name"], r["value"], r["start"])
+            for r in self._kept("gauge")
+        ]
+
     def spans(self, prefix: str | None = None) -> list[SpanEvent]:
         """Closed spans, optionally filtered by dotted-name prefix."""
-        if prefix is None:
-            return list(self.events)
         return [
-            e
-            for e in self.events
-            if e.name == prefix or e.name.startswith(prefix + ".")
+            e for e in self.events
+            if prefix is None or e.name == prefix or e.name.startswith(prefix + ".")
         ]
 
     def summary(self):
@@ -134,17 +218,9 @@ class Recorder:
         if self._closed:
             return
         self._closed = True
-        if self.sinks and self.counters:
-            now = self._now()
+        if self.sinks:
             for name, total in sorted(self.counters.items()):
-                self._emit(
-                    {
-                        "type": "counter_total",
-                        "name": name,
-                        "value": total,
-                        "start": now,
-                    }
-                )
+                self._point("counter_total", name, total)
         for sink in self.sinks:
             sink.close()
 
@@ -174,7 +250,10 @@ _NOOP_SPAN = _NoopSpan()
 class _LiveSpan:
     """An open timed region bound to an active recorder."""
 
-    __slots__ = ("_rec", "_name", "_meta", "_samples", "_t0", "_c0", "_depth")
+    __slots__ = (
+        "_rec", "_name", "_meta", "_samples", "_t0", "_c0", "_depth",
+        "_context", "_tokens",
+    )
 
     enabled = True
 
@@ -185,9 +264,13 @@ class _LiveSpan:
         self._samples: dict[str, list[float]] = {}
 
     def __enter__(self) -> "_LiveSpan":
-        rec = self._rec
-        self._depth = rec._depth
-        rec._depth += 1
+        parent = _trace_var.get()
+        self._context = None if parent is None else parent.child()
+        self._depth = _depth_var.get()
+        self._tokens = (
+            _depth_var.set(self._depth + 1),
+            None if parent is None else _trace_var.set(self._context),
+        )
         self._c0 = time.process_time()
         self._t0 = time.perf_counter()
         return self
@@ -195,32 +278,22 @@ class _LiveSpan:
     def __exit__(self, exc_type, exc, tb) -> bool:
         wall = time.perf_counter() - self._t0
         cpu = time.process_time() - self._c0
+        depth_token, trace_token = self._tokens
+        if trace_token is not None:
+            _trace_var.reset(trace_token)
+        _depth_var.reset(depth_token)
         rec = self._rec
-        rec._depth -= 1
-        # Stamp distributed-trace identity when a TraceContext is ambient
-        # (recorder spans become children of the surrounding trace).
-        # Lookup happens only on the enabled path; the no-op span is
-        # untouched.
-        from .trace_context import current_trace
-
-        ctx = current_trace()
-        child = ctx.child() if ctx is not None else None
-        event = SpanEvent(
+        rec._record_span(
+            self._context,
             name=self._name,
-            index=rec._index,
             depth=self._depth,
-            start=self._t0 - rec._epoch,
+            start=rec._now(self._t0),
             wall_s=wall,
             cpu_s=cpu,
             meta=self._meta,
             samples={k: tuple(v) for k, v in self._samples.items()},
             error=None if exc_type is None else exc_type.__name__,
-            trace_id=None if child is None else child.trace_id,
-            span_id=None if child is None else child.span_id,
-            parent_id=None if child is None else child.parent_id,
         )
-        rec._index += 1
-        rec._record_span(event)
         return False
 
     def note(self, **meta) -> None:
@@ -228,12 +301,8 @@ class _LiveSpan:
         self._meta.update(meta)
 
     def sample(self, name: str, value) -> None:
-        """Append one value — or a whole series — to sample set ``name``.
-
-        Scalars append a single point; lists/tuples/arrays extend the
-        series (useful for attaching an already-collected residual
-        history in one call).
-        """
+        """Append one value — or a whole series (a list, tuple or array,
+        e.g. an already-collected residual history) — to ``name``."""
         bucket = self._samples.setdefault(name, [])
         if isinstance(value, (list, tuple)) or (
             hasattr(value, "__iter__") and hasattr(value, "__len__")
@@ -258,7 +327,7 @@ def span(name: str, **meta):
     >>> rec.events[0].name, rec.events[0].meta["result"]
     ('example.work', 'ok')
     """
-    rec = _recorder_var.get()
+    rec = _recorder_var.get(_process_recorder)
     if rec is None:
         return _NOOP_SPAN
     return _LiveSpan(rec, name, dict(meta) if meta else {})
@@ -293,7 +362,7 @@ def traced(_fn: Callable | None = None, *, name: str | None = None, **meta):
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            rec = _recorder_var.get()
+            rec = _recorder_var.get(_process_recorder)
             if rec is None:
                 return fn(*args, **kwargs)
             with _LiveSpan(rec, span_name, dict(meta) if meta else {}):
@@ -312,23 +381,14 @@ def recording(
     trace_path=None,
     logger=None,
 ):
-    """Activate a fresh :class:`Recorder` for the enclosed block.
+    """Activate a fresh in-memory :class:`Recorder` for the enclosed block.
 
-    Parameters
-    ----------
-    sinks : iterable, optional
-        Extra sinks receiving every record as it is produced.
-    trace_path : path-like, optional
-        Convenience: append a :class:`~repro.obs.JsonlSink` writing to
-        this path.
-    logger : logging.Logger or bool, optional
-        Convenience: append a :class:`~repro.obs.LoggingSink`.  Pass a
-        logger instance, or True for the default ``repro.obs`` logger.
-
-    Yields the recorder; on exit the previous recorder (usually None)
-    is restored and the recorder is closed, flushing counter totals and
-    closing file-backed sinks.  Recordings nest: an inner ``recording``
-    shadows the outer one for its duration.
+    ``sinks`` receive every record too; ``trace_path`` adds a
+    :class:`~repro.obs.JsonlSink`, ``logger`` (a logger, or True for the
+    ``repro.obs`` one) a :class:`~repro.obs.LoggingSink`.  Yields the
+    recorder; on exit the previous one is restored and this one closed
+    (counter totals flushed, files closed).  An inner ``recording``
+    shadows an outer one, and the process-wide recorder.
 
     Examples
     --------
@@ -339,9 +399,7 @@ def recording(
     >>> any(e.name.startswith("sinkhorn") for e in rec.events)
     True
     """
-    from .sinks import JsonlSink, LoggingSink
-
-    all_sinks = list(sinks)
+    all_sinks = [MemorySink(), *sinks]
     if trace_path is not None:
         all_sinks.append(JsonlSink(trace_path))
     if logger is not None:
@@ -349,17 +407,41 @@ def recording(
             LoggingSink(None if logger is True else logger)
         )
     rec = Recorder(sinks=all_sinks)
-    token = _recorder_var.set(rec)
     try:
-        yield rec
+        with rec.activate():
+            yield rec
     finally:
-        _recorder_var.reset(token)
         rec.close()
-        # While process-wide metrics collection is enabled, completed
-        # sessions accumulate into the registry (span-duration
-        # histograms + counter totals) so scrape endpoints see every
-        # recording without extra wiring.
+        # While metrics collection is enabled, completed sessions fold
+        # into the registry, so scrapes see every recording.
         from . import metrics as _metrics
 
         if _metrics.metrics_enabled():
             _metrics.fold_recorder(rec)
+
+
+@contextmanager
+def tracing(path, *, process: str | None = None):
+    """Install a process-wide recorder writing to a JSONL file.
+
+    Every record goes straight to ``path`` and nothing is kept in
+    memory, so a long-running process can trace indefinitely.  Threads
+    that never bound a :func:`recording` see this recorder too, and
+    pooled :func:`repro.shard.characterize_store` workers append their
+    spans to the same file.
+
+    >>> import os, tempfile
+    >>> from repro.obs import TraceContext, span, trace_scope
+    >>> path = os.path.join(tempfile.mkdtemp(), "spans.jsonl")
+    >>> with tracing(path), trace_scope(TraceContext.new()):
+    ...     with span("work"):
+    ...         pass
+    """
+    global _process_recorder
+    rec = Recorder([JsonlSink(path)], process=process)
+    previous, _process_recorder = _process_recorder, rec
+    try:
+        yield rec
+    finally:
+        _process_recorder = previous
+        rec.close()

@@ -1,27 +1,17 @@
-"""Pluggable destinations for :mod:`repro.obs` event records.
+"""Pluggable destinations for :mod:`repro.obs` records.
 
-A sink is anything with ``emit(record: dict)`` and ``close()`` — the
-:class:`Sink` protocol below.  Three stdlib-only implementations ship
-with the library:
+A sink is anything with ``emit(record: dict)`` and ``close()`` (the
+:class:`Sink` protocol).  Records are plain JSON-safe dicts (see
+:meth:`repro.obs.events.SpanEvent.to_record`).  Stdlib-only sinks:
 
-* :class:`MemorySink` — append records to an in-process list (the
-  default for tests and interactive use; the recorder's own event list
-  usually suffices, this exists for sink-API symmetry and fan-out).
-* :class:`JsonlSink` — one JSON object per line, append-mode file.
-  The file is opened lazily on the first record so constructing the
-  sink never touches the filesystem.  Every line is flushed as it is
-  written: a process killed mid-run (SIGTERM under drain) loses at most
-  the record being written, never completed ones.
-* :class:`RotatingJsonlSink` — a JsonlSink with size-based rotation
-  (``path`` → ``path.1`` → ``path.2`` ...), used for the serving slow-
-  request log so an unattended server cannot fill a disk.
-* :class:`LoggingSink` — bridge into :mod:`logging`; each record
-  becomes one ``DEBUG`` (spans/gauges) or ``INFO`` (counters at close)
-  message on the ``repro.obs`` logger, so existing logging
-  configuration picks up traces with no extra wiring.
-
-Records are plain dicts (see :meth:`repro.obs.events.SpanEvent.to_record`)
-and are already JSON-safe when they reach a sink.
+* :class:`MemorySink` — an in-process list; also a recorder's memory;
+* :class:`JsonlSink` — one JSON object per line, opened lazily and
+  flushed per record, so a killed process loses at most the line being
+  written;
+* :class:`RotatingJsonlSink` — a JsonlSink rotated by size (the serving
+  slow-request log), so an unattended server cannot fill a disk;
+* :class:`LoggingSink` — a bridge into :mod:`logging` (``repro.obs``
+  logger: spans and gauges at DEBUG, counters at INFO).
 """
 
 from __future__ import annotations
@@ -44,7 +34,11 @@ class Sink(Protocol):
 
 
 class MemorySink:
-    """Collect records in an in-process list (``sink.records``)."""
+    """Collect records in an in-process list (``sink.records``).
+
+    Attached to a :class:`~repro.obs.Recorder`, it is the recorder's
+    memory: ``recorder.events`` and ``recorder.gauges`` are read from it.
+    """
 
     def __init__(self) -> None:
         self.records: list[dict] = []
@@ -73,11 +67,15 @@ class JsonlSink:
         self.path = path
         self._handle = None
 
-    def emit(self, record: dict) -> None:
+    def _open(self):
         if self._handle is None:
             self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(json.dumps(record) + "\n")
-        self._handle.flush()
+        return self._handle
+
+    def emit(self, record: dict) -> None:
+        handle = self._open()
+        handle.write(json.dumps(record) + "\n")
+        handle.flush()
 
     def close(self) -> None:
         if self._handle is not None:
@@ -85,7 +83,7 @@ class JsonlSink:
             self._handle = None
 
 
-class RotatingJsonlSink:
+class RotatingJsonlSink(JsonlSink):
     """A :class:`JsonlSink` with size-based rotation.
 
     When appending a record would push the current file past
@@ -95,15 +93,9 @@ class RotatingJsonlSink:
     """
 
     def __init__(self, path, *, max_bytes: int = 1_000_000, backups: int = 3) -> None:
-        self.path = str(path)
+        super().__init__(str(path))
         self.max_bytes = int(max_bytes)
         self.backups = int(backups)
-        self._handle = None
-
-    def _open(self):
-        if self._handle is None:
-            self._handle = open(self.path, "a", encoding="utf-8")
-        return self._handle
 
     def _rotate(self) -> None:
         self.close()
@@ -130,11 +122,6 @@ class RotatingJsonlSink:
         handle.write(line)
         handle.flush()
 
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
 
 class LoggingSink:
     """Forward records to a :mod:`logging` logger.
@@ -155,8 +142,8 @@ class LoggingSink:
                 "span %s wall=%.3fms cpu=%.3fms depth=%d meta=%s",
                 record["name"],
                 record["wall_s"] * 1e3,
-                record["cpu_s"] * 1e3,
-                record["depth"],
+                record.get("cpu_s", 0.0) * 1e3,
+                record.get("depth", 0),
                 record.get("meta", {}),
             )
         elif kind == "counter":

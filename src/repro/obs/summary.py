@@ -9,7 +9,7 @@ or a JSON-safe dict (:meth:`SpanSummary.to_dict`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .events import jsonable
 from .recorder import Recorder, current_recorder
@@ -45,17 +45,7 @@ class SpanStats:
     cpu_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "count": self.count,
-            "total_s": self.total_s,
-            "mean_s": self.mean_s,
-            "p50_s": self.p50_s,
-            "p95_s": self.p95_s,
-            "p99_s": self.p99_s,
-            "max_s": self.max_s,
-            "cpu_s": self.cpu_s,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -1,52 +1,29 @@
 """Request-scoped trace contexts propagated across serving layers.
 
-This module is the spine of end-to-end request tracing: a
-:class:`TraceContext` is minted at server ingress (or adopted from an
-incoming W3C ``traceparent`` header), carried through admission control,
-the coalescer, the cache, and — via :meth:`TraceContext.to_payload` —
-serialized into ``ProcessPoolExecutor`` shard workers.
+A :class:`TraceContext` is minted at server ingress (or adopted from an
+incoming W3C ``traceparent`` header) and carried through admission, the
+coalescer, the cache and — serialized with
+:meth:`TraceContext.to_payload` — into shard pool workers.  The ambient
+context (:func:`current_trace`, bound by :func:`trace_scope`) gives the
+spans of :mod:`repro.obs.recorder` their trace ids.
 
-Design constraints, in priority order:
-
-1. **Disabled cost is near zero.**  When no tracer is installed the only
-   per-request work is minting two random ids and a handful of
-   ``perf_counter`` reads (see ``benchmarks/bench_obs_overhead.py`` for
-   the gated budget).  Span emission happens only behind a ``tracer is
-   not None`` check.
-2. **No retention.**  :class:`Tracer` writes span records straight to
-   its sink; a long-running server never accumulates span state.
-3. **Determinism of results.**  Trace ids never feed into any numeric
-   path; traced and untraced runs produce bit-identical bodies.
-
-Span records share the JSONL schema emitted by
-:class:`repro.obs.recorder.Recorder` (``type: "span"``) with four
-additional fields: ``trace_id``, ``span_id``, ``parent_id`` and
-(optionally) ``links`` — so the existing ``repro-hc trace convert``
-Chrome exporter and the new ``repro-hc trace query`` command both read
-the same files.
+Disabled cost is near zero: with no recorder, a request only mints two
+random ids and reads a few clocks.  Trace ids never feed a numeric
+path, so traced and untraced runs produce bit-identical bodies.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import threading
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-from .events import jsonable
-from .sinks import JsonlSink, Sink
-
 __all__ = [
     "TraceContext",
     "RequestTrace",
-    "Tracer",
     "current_trace",
-    "current_tracer",
-    "set_tracer",
     "trace_scope",
-    "tracing",
     "TIMING_STAGES",
 ]
 
@@ -71,10 +48,6 @@ _ZERO_SPAN = "0" * 16
 _HEX = set("0123456789abcdef")
 
 
-def _new_trace_id() -> str:
-    return os.urandom(16).hex()
-
-
 def _new_span_id() -> str:
     return os.urandom(8).hex()
 
@@ -86,14 +59,10 @@ def _is_hex(text: str) -> bool:
 class TraceContext:
     """Immutable (trace_id, span_id, parent_id) triple.
 
-    ``trace_id`` is 32 lowercase hex chars, ``span_id`` 16; both follow
-    the W3C Trace Context wire format so ``to_traceparent`` round-trips
-    through any compliant proxy.
-
-    A ``__slots__`` class rather than a frozen dataclass: every request
-    constructs one of these (plus a child per propagation hop), and the
-    frozen-dataclass ``object.__setattr__``-per-field init costs ~3x a
-    plain init on this hot path.
+    ``trace_id`` is 32 lowercase hex chars, ``span_id`` 16, as in the W3C
+    Trace Context wire format.  A ``__slots__`` class: every request
+    builds one (plus a child per hop), and a frozen dataclass's init
+    costs ~3x a plain one on this hot path.
     """
 
     __slots__ = ("trace_id", "span_id", "parent_id")
@@ -206,12 +175,11 @@ class RequestTrace:
     the unattributed remainder so the stages always sum to the total.
     """
 
-    __slots__ = ("context", "started_at", "t0", "stages", "remote_parent")
+    __slots__ = ("context", "started_at", "stages", "remote_parent")
 
     def __init__(self, context: TraceContext, *, remote_parent: bool = False):
         self.context = context
         self.started_at = time.time()
-        self.t0 = time.perf_counter()
         self.stages: dict[str, float] = {}
         self.remote_parent = remote_parent
 
@@ -227,9 +195,6 @@ class RequestTrace:
         if seconds > 0.0:
             self.stages[stage] = self.stages.get(stage, 0.0) + seconds
 
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.t0
-
     def timings(self, total_s: float) -> dict[str, float]:
         """Stage breakdown summing to ``total_s`` (``other_s`` absorbs slop)."""
         out = {stage: self.stages.get(stage, 0.0) for stage in TIMING_STAGES}
@@ -238,113 +203,9 @@ class RequestTrace:
         return out
 
 
-class Tracer:
-    """Writes span records to a sink without retaining them.
-
-    Unlike :class:`repro.obs.recorder.Recorder` (which accumulates
-    events for post-run summaries), a Tracer is built for long-running
-    servers: every span goes straight to the sink.  Timestamps are
-    wall-clock (``time.time()``) so spans emitted by separate processes
-    line up on one timeline.
-    """
-
-    def __init__(self, sink: Sink, *, process: str | None = None):
-        self.sink = sink
-        self.process = process or f"pid-{os.getpid()}"
-        self.path = getattr(sink, "path", None)
-        self._lock = threading.Lock()
-        self._index = 0
-
-    def emit_span(
-        self,
-        name: str,
-        context: TraceContext,
-        *,
-        wall_s: float,
-        start: float | None = None,
-        cpu_s: float = 0.0,
-        meta: dict | None = None,
-        links: list[dict] | tuple[dict, ...] = (),
-        error: str | None = None,
-    ) -> None:
-        """Emit one completed span record."""
-        record = {
-            "type": "span",
-            "name": name,
-            "trace_id": context.trace_id,
-            "span_id": context.span_id,
-            "parent_id": context.parent_id,
-            "start": float(start if start is not None else time.time() - wall_s),
-            "wall_s": float(wall_s),
-            "cpu_s": float(cpu_s),
-            "pid": os.getpid(),
-            "process": self.process,
-            "meta": jsonable(meta or {}),
-        }
-        if links:
-            record["links"] = [dict(link) for link in links]
-        if error is not None:
-            record["error"] = error
-        with self._lock:
-            record["index"] = self._index
-            self._index += 1
-            self.sink.emit(record)
-
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        context: TraceContext,
-        *,
-        meta: dict | None = None,
-        links: list[dict] | tuple[dict, ...] = (),
-    ):
-        """Context manager timing a block and emitting it as a span."""
-        start = time.time()
-        t0 = time.perf_counter()
-        c0 = time.process_time()
-        error: str | None = None
-        try:
-            yield context
-        except BaseException as exc:  # noqa: BLE001 - recorded, then re-raised
-            error = f"{type(exc).__name__}: {exc}"
-            raise
-        finally:
-            self.emit_span(
-                name,
-                context,
-                wall_s=time.perf_counter() - t0,
-                start=start,
-                cpu_s=time.process_time() - c0,
-                meta=meta,
-                links=links,
-                error=error,
-            )
-
-    def close(self) -> None:
-        self.sink.close()
-
-
-def append_span_record(path: str, record: dict) -> None:
-    """Append one span record to a JSONL file, one atomic write.
-
-    Used by pool workers that share a span file with the parent: the
-    line is written with a single ``write`` on an ``O_APPEND`` handle,
-    which POSIX keeps atomic for writes under ``PIPE_BUF``.
-    """
-    line = json.dumps(jsonable(record), sort_keys=True) + "\n"
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(line)
-
-
-# --- ambient trace context + process-wide tracer ----------------------------
-#
-# Mirrors the metrics-gate pattern in ``repro.obs.metrics``: library code
-# checks one module global (``current_tracer() is None`` on the disabled
-# path) and an optional contextvar for the ambient trace.
+# --- the ambient trace context ----------------------------------------------
 
 _trace_var: ContextVar[TraceContext | None] = ContextVar("repro_trace", default=None)
-_tracer: Tracer | None = None
 
 
 def current_trace() -> TraceContext | None:
@@ -360,36 +221,3 @@ def trace_scope(context: TraceContext):
         yield context
     finally:
         _trace_var.reset(token)
-
-
-def current_tracer() -> Tracer | None:
-    """The process-wide tracer, or None when tracing is disabled."""
-    return _tracer
-
-
-def set_tracer(tracer: Tracer | None) -> Tracer | None:
-    """Install (or clear, with None) the process-wide tracer."""
-    global _tracer
-    previous = _tracer
-    _tracer = tracer
-    return previous
-
-
-@contextmanager
-def tracing(path: str, *, process: str | None = None):
-    """Install a JSONL-backed process tracer for the enclosed block.
-
-    >>> import os, tempfile
-    >>> path = os.path.join(tempfile.mkdtemp(), "spans.jsonl")
-    >>> with tracing(path) as tracer:
-    ...     ctx = TraceContext.new()
-    ...     with tracer.span("work", ctx):
-    ...         pass
-    """
-    tracer = Tracer(JsonlSink(path), process=process)
-    previous = set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)
-        tracer.close()

@@ -142,7 +142,10 @@ def format_trace(view: TraceView) -> str:
         wall_ms = float(span.get("wall_s", 0.0)) * 1e3
         extras = []
         meta = span.get("meta") or {}
-        for key in ("endpoint", "status", "source", "outcome", "batch_size", "attempt"):
+        for key in (
+            "endpoint", "status", "source", "outcome", "batch_size", "attempt",
+            "iterations", "converged_slices",
+        ):
             if key in meta:
                 extras.append(f"{key}={meta[key]}")
         links = span.get("links") or []

@@ -252,7 +252,20 @@ def _check_policy(policy: str) -> None:
 def _record_counters(rec, report: QuarantineReport) -> None:
     """Surface quarantine/repair activity in the ambient obs recorder
     and the process-wide metrics registry (outcomes by taxonomy slug)."""
-    _metrics.count_member_outcomes(report)
+    _metrics.inc(
+        "repro_member_outcomes_total",
+        len(report.quarantined),
+        outcome="quarantined",
+    )
+    _metrics.inc(
+        "repro_member_outcomes_total", len(report.repaired), outcome="repaired"
+    )
+    for category, indices in report.by_category().items():
+        _metrics.inc(
+            "repro_member_outcomes_total",
+            len(indices),
+            outcome=f"fault.{category}",
+        )
     if rec is None:
         return
     rec.counter("robust.quarantined", len(report.quarantined))

@@ -176,7 +176,7 @@ class ResultCache:
     def _degrade_spill(self, why: str) -> None:
         """Fall back to memory-only LRU; warn once, count the event."""
         self.spill_errors += 1
-        _metrics.count_serve_cache("spill_error")
+        _metrics.inc("repro_serve_cache_events_total", event="spill_error")
         if not self.spill_degraded:
             self.spill_degraded = True
             self.spill_dir = None
@@ -206,7 +206,7 @@ class ResultCache:
             if value is not None:
                 self._entries.move_to_end(key)
                 self.hits_memory += 1
-                _metrics.count_serve_cache("hit-memory")
+                _metrics.inc("repro_serve_cache_events_total", event="hit-memory")
                 return value
         if self.spill_dir is not None:
             path = self._spill_path(key)
@@ -222,7 +222,7 @@ class ResultCache:
                 # damage): never serve it — drop the file and
                 # recompute.  The spill path itself stays enabled.
                 self.spill_errors += 1
-                _metrics.count_serve_cache("spill_error")
+                _metrics.inc("repro_serve_cache_events_total", event="spill_error")
                 try:
                     path.unlink()
                 except OSError:
@@ -232,11 +232,11 @@ class ResultCache:
                 with self._lock:
                     self.hits_disk += 1
                 self._store(key, value)
-                _metrics.count_serve_cache("hit-disk")
+                _metrics.inc("repro_serve_cache_events_total", event="hit-disk")
                 return value
         with self._lock:
             self.misses += 1
-        _metrics.count_serve_cache("miss")
+        _metrics.inc("repro_serve_cache_events_total", event="miss")
         return None
 
     def put(self, key: str, value: bytes) -> None:
@@ -257,10 +257,10 @@ class ResultCache:
                 self.evictions += 1
                 if self.spill_dir is not None:
                     spilled = (old_key, old_value)
-        _metrics.count_serve_cache("store")
+        _metrics.inc("repro_serve_cache_events_total", event="store")
         spill_dir = self.spill_dir
         if spilled is not None and spill_dir is not None:
-            _metrics.count_serve_cache("spill")
+            _metrics.inc("repro_serve_cache_events_total", event="spill")
             path = spill_dir / f"{spilled[0]}.json"
             try:
                 path.write_bytes(spilled[1])

@@ -41,12 +41,14 @@ as a structured ``converged=False`` partial outcome, never corrupt it.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..obs import metrics as _metrics
+from ..obs import current_recorder, metrics as _metrics
+from ..obs.trace_context import trace_scope
 from .cache import canonical_options
 from .protocol import ServeRequest
 from .resilience import DeadlineExceeded
@@ -94,6 +96,9 @@ class _PendingGroup:
     submitted: list = field(default_factory=list)
     traces: list = field(default_factory=list)
     timer: asyncio.TimerHandle | None = None
+    # The context of the request that opened the group: its recorder
+    # traces the batch, whichever path flushes it (timer, size, drain).
+    context: contextvars.Context = field(default_factory=contextvars.copy_context)
 
 
 class Coalescer:
@@ -112,10 +117,15 @@ class Coalescer:
     max_batch : int
         Flush threshold; also the largest stack a single kernel call
         materializes.
-    tracer : repro.obs.Tracer, optional
-        When set, every flushed batch emits one ``serve.kernel`` span
-        *linked* to the request spans it served (fan-in), so a single
-        slow batch explains N slow responses.
+
+    Under an active recorder (a traced server activates its recorder
+    around every request) each flushed batch emits one ``serve.kernel``
+    span *linked* to the request spans it served (fan-in), so a single
+    slow batch explains N slow responses.  The runner runs in a copy of
+    the context of the request that opened the group, with that span's
+    context bound, so the kernel spans it opens
+    (``batch.characterize_ensemble``, ``sinkhorn.batched``,
+    ``svd.batched``) nest under ``serve.kernel``.
     """
 
     def __init__(
@@ -125,7 +135,6 @@ class Coalescer:
         endpoint: str,
         linger_s: float = 0.002,
         max_batch: int = 64,
-        tracer=None,
     ) -> None:
         if linger_s < 0:
             raise ValueError(f"linger_s must be >= 0, got {linger_s}")
@@ -135,7 +144,6 @@ class Coalescer:
         self.endpoint = endpoint
         self.linger_s = float(linger_s)
         self.max_batch = int(max_batch)
-        self.tracer = tracer
         self._groups: dict[tuple, _PendingGroup] = {}
         self.batches_flushed = 0
         self.requests_coalesced = 0
@@ -224,8 +232,10 @@ class Coalescer:
         ):
             if deadline is not None and deadline.expired():
                 self.deadline_shed += 1
-                _metrics.count_serve_deadline_exceeded(
-                    self.endpoint, "coalesce"
+                _metrics.inc(
+                    "repro_serve_deadline_exceeded_total",
+                    endpoint=self.endpoint,
+                    stage="coalesce",
                 )
                 if not future.done():
                     future.set_exception(
@@ -255,33 +265,56 @@ class Coalescer:
         size = len(matrices)
         self.batches_flushed += 1
         self.requests_coalesced += size
-        _metrics.observe_coalesce_batch(self.endpoint, size)
-        _metrics.count_serve_kernel(self.endpoint)
+        _metrics.observe(
+            "repro_serve_coalesce_batch_size", size, endpoint=self.endpoint
+        )
+        _metrics.inc(
+            "repro_serve_kernel_invocations_total", endpoint=self.endpoint
+        )
+        # The fan-in span of a traced batch is parented under its first
+        # traced member (a batch has no single request parent) and links
+        # every member's request span.
+        rec = group.context.run(current_recorder)
+        members = [trace for trace in traces if trace is not None]
+        kernel_ctx = members[0].child() if rec is not None and members else None
         loop = asyncio.get_running_loop()
         flush_t = time.perf_counter()
+        flush_wall = time.time()
         lingers = [max(0.0, flush_t - submit_t) for submit_t in submitted]
+        error = None
         try:
             results = await loop.run_in_executor(
-                None, self.runner, group.options, matrices
+                None,
+                group.context.run,
+                _run_in,
+                kernel_ctx,
+                self.runner,
+                group.options,
+                matrices,
             )
-            kernel_s = time.perf_counter() - flush_t
             if len(results) != size:
                 raise RuntimeError(
                     f"batch runner returned {len(results)} results for "
                     f"{size} requests"
                 )
         except Exception as exc:  # runner blew up: fail the whole batch
-            self._emit_batch_span(
-                traces,
-                size,
-                kernel_s=time.perf_counter() - flush_t,
-                error=f"{type(exc).__name__}: {exc}",
+            error = exc
+        kernel_s = time.perf_counter() - flush_t
+        if kernel_ctx is not None:
+            rec.emit_span(
+                "serve.kernel",
+                kernel_ctx,
+                wall_s=kernel_s,
+                start=flush_wall,
+                meta={"endpoint": self.endpoint, "batch_size": size},
+                links=[member.link() for member in members],
+                error=None if error is None else f"{type(error).__name__}: {error}",
             )
+        if error is not None:
             for future in futures:
                 if not future.done():
-                    future.set_exception(exc)
+                    future.set_exception(error)
             return
-        self._emit_batch_span(traces, size, kernel_s=kernel_s)
         for future, result, linger_s in zip(futures, results, lingers):
             if future.done():  # caller went away (cancelled request)
                 continue
@@ -294,33 +327,6 @@ class Coalescer:
                     )
                 )
 
-    def _emit_batch_span(
-        self, traces, size, *, kernel_s, error=None
-    ) -> None:
-        """One fan-in span per flushed batch, linked to its members.
-
-        The batch span is parented under the first traced member (a
-        batch has no single request parent) and carries a link to every
-        member's request span, so trace tooling can walk from any slow
-        response to the batch that computed it and back out to its
-        batch-mates.
-        """
-        tracer = self.tracer
-        if tracer is None:
-            return
-        members = [trace for trace in traces if trace is not None]
-        if not members:
-            return
-        context = members[0].child()
-        tracer.emit_span(
-            "serve.kernel",
-            context,
-            wall_s=kernel_s,
-            meta={"endpoint": self.endpoint, "batch_size": size},
-            links=[member.link() for member in members],
-            error=error,
-        )
-
     @property
     def pending(self) -> int:
         """Requests currently lingering in un-flushed groups."""
@@ -332,3 +338,11 @@ class Coalescer:
             self._flush_now(key)
         # Yield once so the flush tasks get to run their executors.
         await asyncio.sleep(0)
+
+
+def _run_in(context, runner, options, matrices):
+    """Call ``runner`` with ``context`` (when set) as the ambient trace."""
+    if context is None:
+        return runner(options, matrices)
+    with trace_scope(context):
+        return runner(options, matrices)

@@ -304,7 +304,9 @@ class AdmissionController:
         if len(gate.waiters) >= self.queue_depth:
             gate.shed += 1
             retry = self.retry_after_s(endpoint)
-            _metrics.count_serve_shed(endpoint, "queue-full")
+            _metrics.inc(
+                "repro_serve_shed_total", endpoint=endpoint, reason="queue-full"
+            )
             raise ShedError(
                 "queue-full",
                 f"endpoint {endpoint!r} is at its admission limit "
@@ -336,7 +338,11 @@ class AdmissionController:
                     pass
             gate.shed += 1
             retry = self.retry_after_s(endpoint)
-            _metrics.count_serve_deadline_exceeded(endpoint, "admission")
+            _metrics.inc(
+                "repro_serve_deadline_exceeded_total",
+                endpoint=endpoint,
+                stage="admission",
+            )
             if trace is not None:
                 trace.add("queue_wait_s", time.perf_counter() - wait_t0)
             raise DeadlineExceeded(
@@ -352,10 +358,14 @@ class AdmissionController:
         gate.inflight += 1
         gate.peak_inflight = max(gate.peak_inflight, gate.inflight)
         gate.admitted += 1
-        _metrics.count_serve_admitted(endpoint)
+        _metrics.inc("repro_serve_admitted_total", endpoint=endpoint)
         estimator = self.estimators.get(endpoint)
         if estimator is not None:
-            _metrics.set_serve_admission_limit(endpoint, estimator.limit)
+            _metrics.set(
+                "repro_serve_admission_limit",
+                float(estimator.limit),
+                endpoint=endpoint,
+            )
 
     def release(self, endpoint: str) -> None:
         """Free one slot and grant the oldest live waiter, if any."""
@@ -375,8 +385,10 @@ class AdmissionController:
             before = estimator.limit
             estimator.observe(wall_s)
             if estimator.limit != before:
-                _metrics.set_serve_admission_limit(
-                    endpoint, estimator.limit
+                _metrics.set(
+                    "repro_serve_admission_limit",
+                    float(estimator.limit),
+                    endpoint=endpoint,
                 )
                 # A freshly raised limit can unblock queued waiters.
                 if estimator.limit > before:
@@ -443,7 +455,7 @@ class DrainState:
             return False
         self._draining = True
         self.drain_started_at = time.time()
-        _metrics.count_serve_drain("started")
+        _metrics.inc("repro_serve_drain_total", event="started")
         return True
 
     def uptime_s(self) -> float:

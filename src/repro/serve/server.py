@@ -56,9 +56,10 @@ import numpy as np
 from .. import __version__
 from ..obs import metrics as _metrics
 from ..obs.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
-from ..obs.metrics import enable_metrics, register_serve_resilience_metrics
+from ..obs.metrics import enable_metrics
+from ..obs.recorder import Recorder
 from ..obs.sinks import JsonlSink, RotatingJsonlSink
-from ..obs.trace_context import RequestTrace, Tracer
+from ..obs.trace_context import RequestTrace
 from ..robust.budget import Budget, Deadline
 from .cache import ResultCache, matrix_cache_key
 from .coalesce import Coalescer, ServeFault
@@ -101,6 +102,10 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: request or header line is answered with 431.
 _LINE_LIMIT = 64 * 1024
 
+#: Most header lines one request may send (``http.client`` allows as
+#: many); one more is answered with 431.
+_MAX_HEADERS = 100
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -124,10 +129,12 @@ class ServeConfig:
     The tracing knobs (see ``docs/OBSERVABILITY.md``):
 
     * ``trace_path`` — JSONL span-sink file; when set, every request
-      emits a ``serve.request`` root span (plus cache / kernel child
-      spans) queryable with ``repro-hc trace query``.  Trace *ids* are
-      minted regardless — every response carries ``X-Repro-Trace-Id`` —
-      only span emission is gated on this path;
+      emits a ``serve.request`` root span with ``serve.cache`` and
+      ``serve.kernel`` children, and the kernel's own spans
+      (``sinkhorn.batched``, ``svd.batched``, ...) under
+      ``serve.kernel``, queryable with ``repro-hc trace query``.  Trace
+      *ids* are minted regardless — every response carries
+      ``X-Repro-Trace-Id`` — only span emission is gated on this path;
     * ``slow_log_path`` / ``slow_threshold_ms`` — rotating JSONL log of
       requests slower than the threshold, each record carrying the
       trace id and the full stage breakdown;
@@ -180,10 +187,10 @@ class CharacterizationServer:
             max_entries=self.config.cache_entries,
             spill_dir=self.config.cache_dir,
         )
-        self.tracer: Tracer | None = None
+        self.recorder: Recorder | None = None
         if self.config.trace_path is not None:
-            self.tracer = Tracer(
-                JsonlSink(self.config.trace_path), process="repro-serve"
+            self.recorder = Recorder(
+                [JsonlSink(self.config.trace_path)], process="repro-serve"
             )
         self.slow_log: RotatingJsonlSink | None = None
         if self.config.slow_log_path is not None:
@@ -199,14 +206,12 @@ class CharacterizationServer:
                 endpoint="characterize",
                 linger_s=self.config.linger_s,
                 max_batch=self.config.max_batch,
-                tracer=self.tracer,
             ),
             "standardize": Coalescer(
                 self._run_standardize_batch,
                 endpoint="standardize",
                 linger_s=self.config.linger_s,
                 max_batch=self.config.max_batch,
-                tracer=self.tracer,
             ),
         }
         estimators = None
@@ -236,7 +241,13 @@ class CharacterizationServer:
         self._server: asyncio.base_events.Server | None = None
         if self.config.enable_metrics:
             enable_metrics()
-            register_serve_resilience_metrics()
+            _metrics.preregister(
+                "repro_serve_admitted_total",
+                "repro_serve_shed_total",
+                "repro_serve_deadline_exceeded_total",
+                "repro_serve_drain_total",
+                "repro_serve_admission_limit",
+            )
 
     # -- batch runners (executor threads) ------------------------------
 
@@ -335,7 +346,6 @@ class CharacterizationServer:
     ) -> tuple[bytes, str]:
         """Body bytes for one request, via the coalescer; no caching."""
         endpoint = request.endpoint
-        context = trace.context if trace is not None else None
         if endpoint == "recommend-heuristic":
             # Rides the characterize coalescer, then applies the rule.
             from ..scheduling.selection import recommend_from_measures
@@ -345,12 +355,7 @@ class CharacterizationServer:
                 matrix=request.matrix,
                 options={**request.options, "tma_fallback": "limit"},
             )
-            outcome = await self.coalescers["characterize"].submit(
-                inner, deadline, context
-            )
-            if trace is not None:
-                trace.add("coalesce_linger_s", outcome.linger_s)
-                trace.add("kernel_s", outcome.kernel_s)
+            outcome = await self._submit("characterize", inner, deadline, trace)
             measures = outcome.payload
             name, reason = recommend_from_measures(
                 measures["mph"], measures["tdh"], measures["tma"]
@@ -370,18 +375,31 @@ class CharacterizationServer:
             if trace is not None:
                 trace.add("render_s", time.perf_counter() - render_t0)
             return body, source
-        outcome = await self.coalescers[endpoint].submit(
-            request, deadline, context
-        )
-        if trace is not None:
-            trace.add("coalesce_linger_s", outcome.linger_s)
-            trace.add("kernel_s", outcome.kernel_s)
+        outcome = await self._submit(endpoint, request, deadline, trace)
         source = "batched" if outcome.batch_size > 1 else "cold"
         render_t0 = time.perf_counter()
         body = result_body(endpoint, outcome.payload)
         if trace is not None:
             trace.add("render_s", time.perf_counter() - render_t0)
         return body, source
+
+    async def _submit(self, endpoint, request, deadline, trace):
+        """Queue ``request`` on ``endpoint``'s coalescer.
+
+        A traced server's recorder is active while the request waits, so
+        the batch it joins is traced down into the kernel.
+        """
+        coalescer = self.coalescers[endpoint]
+        context = trace.context if trace is not None else None
+        if self.recorder is None:
+            outcome = await coalescer.submit(request, deadline, context)
+        else:
+            with self.recorder.activate():
+                outcome = await coalescer.submit(request, deadline, context)
+        if trace is not None:
+            trace.add("coalesce_linger_s", outcome.linger_s)
+            trace.add("kernel_s", outcome.kernel_s)
+        return outcome
 
     def _request_deadline(
         self, request: ServeRequest, elapsed_s: float = 0.0
@@ -403,9 +421,9 @@ class CharacterizationServer:
         self, trace: RequestTrace | None, wall_s: float, outcome: str
     ) -> None:
         """A ``serve.cache`` child span, when tracing is on."""
-        if self.tracer is None or trace is None:
+        if self.recorder is None or trace is None:
             return
-        self.tracer.emit_span(
+        self.recorder.emit_span(
             "serve.cache",
             trace.context.child(),
             wall_s=wall_s,
@@ -429,7 +447,11 @@ class CharacterizationServer:
         request = parse_request(endpoint, payload)
         deadline = self._request_deadline(request, elapsed_s)
         if deadline is not None and deadline.expired():
-            _metrics.count_serve_deadline_exceeded(endpoint, "entry")
+            _metrics.inc(
+                "repro_serve_deadline_exceeded_total",
+                endpoint=endpoint,
+                stage="entry",
+            )
             raise DeadlineExceeded(
                 "request deadline expired before any work was scheduled"
             )
@@ -481,6 +503,41 @@ class CharacterizationServer:
             trace.add("cache_s", time.perf_counter() - put_t0)
         entry.future.set_result(body)
         return 200, body, source
+
+    @staticmethod
+    def _observe_request(endpoint, status, source, wall_s, trace_id) -> None:
+        """Count one finished ``/v1`` request and time it by ``source``.
+
+        The latency bucket the request fell into carries its trace id
+        as an exemplar, tying the histogram tail to a concrete trace.
+        """
+        _metrics.inc(
+            "repro_serve_requests_total",
+            endpoint=endpoint,
+            status=str(int(status)),
+        )
+        _metrics.observe(
+            "repro_serve_request_seconds",
+            wall_s,
+            {"trace_id": trace_id} if trace_id else None,
+            endpoint=endpoint,
+            source=source,
+        )
+
+    @staticmethod
+    def _observe_scrape(kind: str, status: int, t0: float) -> None:
+        """Count and time one scrape, apart from the request families.
+
+        A 15-second scrape interval would otherwise pile sub-millisecond
+        observations into the latency histogram the adaptive admission
+        estimator reads.
+        """
+        _metrics.inc(
+            "repro_serve_scrapes_total", kind=kind, status=str(int(status))
+        )
+        _metrics.observe(
+            "repro_serve_scrape_seconds", time.perf_counter() - t0, kind=kind
+        )
 
     def health_payload(self) -> dict:
         """The ``/healthz`` body: status, probes, pipeline counters."""
@@ -557,11 +614,11 @@ class CharacterizationServer:
             self.slow_log is not None
             and wall_s * 1e3 >= self.config.slow_threshold_ms
         )
-        if self.tracer is None and not slow and not need_timings:
+        if self.recorder is None and not slow and not need_timings:
             return None
         timings = rtrace.timings(wall_s)
-        if self.tracer is not None:
-            self.tracer.emit_span(
+        if self.recorder is not None:
+            self.recorder.emit_span(
                 "serve.request",
                 rtrace.context,
                 wall_s=wall_s,
@@ -634,17 +691,13 @@ class CharacterizationServer:
             payload = render_prometheus(
                 _metrics.get_registry()
             ).encode("utf-8")
-            _metrics.observe_serve_scrape(
-                "metrics", status=200, wall_s=time.perf_counter() - t0
-            )
+            self._observe_scrape("metrics", 200, t0)
             return 200, PROMETHEUS_CONTENT_TYPE, payload, {}
         if method == "GET" and path in (
             "/healthz", "/healthz/live", "/healthz/ready"
         ):
             status, ctype, payload = self._healthz(path)
-            _metrics.observe_serve_scrape(
-                "healthz", status=status, wall_s=time.perf_counter() - t0
-            )
+            self._observe_scrape("healthz", status, t0)
             return status, ctype, payload, {}
         endpoint = None
         if path.startswith("/v1/"):
@@ -663,7 +716,9 @@ class CharacterizationServer:
                     f"{endpoint} requires POST, got {method}",
                 ), out_headers
             if self.drain_state.draining:
-                _metrics.count_serve_shed(endpoint, "draining")
+                _metrics.inc(
+                    "repro_serve_shed_total", endpoint=endpoint, reason="draining"
+                )
                 raise ShedError(
                     "draining",
                     "the server is draining for shutdown and accepts "
@@ -679,13 +734,7 @@ class CharacterizationServer:
             )
             self.requests_served += 1
             wall_s = time.perf_counter() - t0
-            _metrics.observe_serve_request(
-                endpoint,
-                status=status,
-                source=source,
-                wall_s=wall_s,
-                trace_id=trace_id,
-            )
+            self._observe_request(endpoint, status, source, wall_s, trace_id)
             if source in ("cold", "batched", "inflight"):
                 # Feed the AIMD estimator from the compute path only:
                 # memoized answers say nothing about kernel capacity.
@@ -708,12 +757,8 @@ class CharacterizationServer:
             status = exc.status
             category = "not-found" if status == 404 else "bad-request"
             wall_s = time.perf_counter() - t0
-            _metrics.observe_serve_request(
-                endpoint or "unknown",
-                status=status,
-                source="error",
-                wall_s=wall_s,
-                trace_id=trace_id,
+            self._observe_request(
+                endpoint or "unknown", status, "error", wall_s, trace_id
             )
             self._finish_request(
                 rtrace, endpoint, status=status, source="error",
@@ -724,12 +769,8 @@ class CharacterizationServer:
             ), out_headers
         except ShedError as shed:
             wall_s = time.perf_counter() - t0
-            _metrics.observe_serve_request(
-                endpoint or "unknown",
-                status=shed.status,
-                source="shed",
-                wall_s=wall_s,
-                trace_id=trace_id,
+            self._observe_request(
+                endpoint or "unknown", shed.status, "shed", wall_s, trace_id
             )
             self._finish_request(
                 rtrace, endpoint, status=shed.status, source="shed",
@@ -743,15 +784,13 @@ class CharacterizationServer:
             ), {**out_headers, "Retry-After": shed.retry_after_header}
         except ServeFault as fault:
             wall_s = time.perf_counter() - t0
-            _metrics.observe_serve_request(
-                endpoint or "unknown",
-                status=fault.status,
-                source="error",
-                wall_s=wall_s,
-                trace_id=trace_id,
+            self._observe_request(
+                endpoint or "unknown", fault.status, "error", wall_s, trace_id
             )
-            _metrics.count_serve_quarantined(
-                endpoint or "unknown", fault.category
+            _metrics.inc(
+                "repro_serve_quarantined_total",
+                endpoint=endpoint or "unknown",
+                category=fault.category,
             )
             self._finish_request(
                 rtrace, endpoint, status=fault.status, source="error",
@@ -762,12 +801,8 @@ class CharacterizationServer:
             ), out_headers
         except Exception as exc:  # pragma: no cover - defensive
             wall_s = time.perf_counter() - t0
-            _metrics.observe_serve_request(
-                endpoint or "unknown",
-                status=500,
-                source="error",
-                wall_s=wall_s,
-                trace_id=trace_id,
+            self._observe_request(
+                endpoint or "unknown", 500, "error", wall_s, trace_id
             )
             self._finish_request(
                 rtrace, endpoint, status=500, source="error",
@@ -786,21 +821,26 @@ class CharacterizationServer:
 
         Returns ``(status, content_type, body, headers)``, or None when
         the peer sent no request line.  Malformed framing is answered
-        here: a line longer than the stream's line limit gets 431, a
-        negative or non-integer ``Content-Length`` 400, and an
-        oversized body 413.
+        here: a line longer than the stream's line limit or more than
+        ``_MAX_HEADERS`` header lines get 431, a negative or non-integer
+        ``Content-Length`` 400, and an oversized body 413.
         """
         try:
             parts = (await reader.readline()).decode("latin-1").split()
             if len(parts) < 2:
                 return None
             request_headers: dict[str, str] = {}
-            while True:
+            for _ in range(_MAX_HEADERS + 1):
                 line = await reader.readline()
                 if line in (b"\r\n", b"\n", b""):
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 request_headers[name.strip().lower()] = value.strip()
+            else:
+                return 431, "application/json", error_body(
+                    None, "bad-request",
+                    f"request has more than {_MAX_HEADERS} header lines",
+                ), {}
         except ValueError:  # StreamReader.readline: line over its limit
             return 431, "application/json", error_body(
                 None, "bad-request",
@@ -904,8 +944,8 @@ class CharacterizationServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self.tracer is not None:
-            self.tracer.close()
+        if self.recorder is not None:
+            self.recorder.close()
         if self.slow_log is not None:
             self.slow_log.close()
 
@@ -934,13 +974,15 @@ class CharacterizationServer:
             self._server = None
         for coalescer in self.coalescers.values():
             await coalescer.drain()
-        _metrics.count_serve_drain("flushed")
+        _metrics.inc("repro_serve_drain_total", event="flushed")
         waited = 0.0
         while self._active_exchanges > 0 and waited < drain_timeout_s:
             await asyncio.sleep(0.01)
             waited += 0.01
         clean = self._active_exchanges == 0
-        _metrics.count_serve_drain("completed" if clean else "timeout")
+        _metrics.inc(
+            "repro_serve_drain_total", event="completed" if clean else "timeout"
+        )
         return clean
 
 

@@ -49,12 +49,9 @@ from .._parallel import resolve_n_jobs
 from ..exceptions import MatrixValueError
 from ..normalize.standard_form import DEFAULT_TOL
 from ..obs import current_recorder, metrics as _metrics, span as _obs_span, traced
-from ..obs.trace_context import (
-    TraceContext,
-    append_span_record,
-    current_trace,
-    current_tracer,
-)
+from ..obs.recorder import Recorder
+from ..obs.sinks import JsonlSink
+from ..obs.trace_context import TraceContext, current_trace, trace_scope
 from .merge import merge_characterizations
 from .planner import plan_shards
 from .store import StackStore
@@ -134,10 +131,11 @@ def _shard_worker(args):
     ``trace`` (optional) is the serialized span-context handoff:
     ``(span_file_path, shard_context_payload)``.  Both dispatch copies
     of a shard receive the *same* pre-allocated shard context, so the
-    primary and its speculative backup emit sibling ``shard.worker``
-    spans under one ``shard.dispatch`` parent.  The record is written
-    with one ``O_APPEND`` write (atomic under ``PIPE_BUF``), so
-    concurrent workers sharing the span file never interleave lines.
+    primary and its speculative backup open sibling ``shard.worker``
+    spans under one ``shard.dispatch`` parent, with the chunk's kernel
+    spans nested inside.  The worker's own recorder appends one line
+    per record to the span file (``O_APPEND``, one write per line), so
+    concurrent workers sharing it never interleave lines.
     """
     (
         store_path, start, stop, attempt, stall_s, data_specs, budget,
@@ -145,40 +143,35 @@ def _shard_worker(args):
     ) = args
     if attempt == 0 and stall_s > 0.0:
         time.sleep(stall_s)
-    wall_start = time.time()
-    t0 = time.perf_counter()
-    c0 = time.process_time()
     store = StackStore(store_path)
-    result = _characterize_chunk(
-        store, start, stop, data_specs, budget, kwargs
-    )
-    if trace is not None:
-        trace_path, ctx_payload = trace
-        context = TraceContext.from_payload(ctx_payload)
-        if context is not None:
-            # os.urandom span ids are fork-safe: sibling workers never
-            # inherit shared RNG state and mint identical ids.
-            append_span_record(
-                trace_path,
-                {
-                    "type": "span",
-                    "name": "shard.worker",
-                    "trace_id": context.trace_id,
-                    "span_id": os.urandom(8).hex(),
-                    "parent_id": context.span_id,
-                    "start": wall_start,
-                    "wall_s": time.perf_counter() - t0,
-                    "cpu_s": time.process_time() - c0,
-                    "pid": os.getpid(),
-                    "process": f"shard-worker-{os.getpid()}",
-                    "meta": {
-                        "attempt": attempt,
-                        "start_member": start,
-                        "members": stop - start,
-                    },
-                },
+    context = None if trace is None else TraceContext.from_payload(trace[1])
+    if context is None:
+        return start, _characterize_chunk(
+            store, start, stop, data_specs, budget, kwargs
+        )
+    # A recorder of the worker's own, bound in this context: a forked
+    # worker may have inherited the parent's.
+    rec = Recorder([JsonlSink(trace[0])], process=f"shard-worker-{os.getpid()}")
+    try:
+        with rec.activate(), trace_scope(context), _obs_span(
+            "shard.worker",
+            attempt=attempt,
+            start_member=start,
+            members=stop - start,
+        ):
+            result = _characterize_chunk(
+                store, start, stop, data_specs, budget, kwargs
             )
+    finally:
+        rec.close()
     return start, result
+
+
+def _observe_chunk(mode: str, members: int, wall_s: float) -> None:
+    """Count one completed shard chunk (``serial`` or ``pool``) and time it."""
+    _metrics.inc("repro_shard_chunks_total", mode=mode)
+    _metrics.inc("repro_shard_members_total", members, mode=mode)
+    _metrics.observe("repro_shard_chunk_seconds", wall_s, mode=mode)
 
 
 def _shard_budget(budget, deadline):
@@ -215,10 +208,8 @@ def _run_serial(store, plan, data_specs, shard_stalls, budget, deadline, kwargs)
                 _shard_budget(budget, deadline),
                 kwargs,
             )
-        _metrics.observe_shard_chunk(
-            "serial", members=shard.n_members, wall_s=time.perf_counter() - t0
-        )
-        _metrics.count_shard_dispatch("primary")
+        _observe_chunk("serial", shard.n_members, time.perf_counter() - t0)
+        _metrics.inc("repro_shard_dispatch_total", event="primary")
         parts.append((shard.start, result))
     return parts
 
@@ -233,9 +224,10 @@ def _run_pool(
     # Trace handoff: pre-allocate one context per shard so both dispatch
     # copies (primary + speculative backup) emit sibling spans under the
     # same ``shard.dispatch`` parent.  Workers need a file path to append
-    # to, so only file-backed tracers cross the process boundary.
-    tracer = current_tracer()
-    trace_path = tracer.path if tracer is not None else None
+    # to, so only a recorder writing a JSONL file crosses the process
+    # boundary.
+    sinks = rec.sinks if rec is not None else ()
+    trace_path = next((s.path for s in sinks if isinstance(s, JsonlSink)), None)
     dispatch_ctx: dict[int, TraceContext] = {}
     if trace_path is not None:
         ambient = current_trace()
@@ -244,8 +236,9 @@ def _run_pool(
             dispatch_ctx[shard.index] = run_ctx.child()
 
     def submit(pool, shard, attempt):
-        _metrics.count_shard_dispatch(
-            "primary" if attempt == 0 else "speculative"
+        _metrics.inc(
+            "repro_shard_dispatch_total",
+            event="primary" if attempt == 0 else "speculative",
         )
         trace = None
         if trace_path is not None:
@@ -302,14 +295,13 @@ def _run_pool(
                 start, result = future.result()
                 results_by_shard[shard.index] = (start, result)
                 wall_s = time.monotonic() - dispatched_at[future]
-                _metrics.observe_shard_chunk(
-                    "pool", members=shard.n_members, wall_s=wall_s
+                _observe_chunk("pool", shard.n_members, wall_s)
+                _metrics.inc(
+                    "repro_shard_dispatch_total",
+                    event="winner_backup" if attempt else "winner_primary",
                 )
-                _metrics.count_shard_dispatch(
-                    "winner_backup" if attempt else "winner_primary"
-                )
-                if tracer is not None and shard.index in dispatch_ctx:
-                    tracer.emit_span(
+                if shard.index in dispatch_ctx:
+                    rec.emit_span(
                         "shard.dispatch",
                         dispatch_ctx[shard.index],
                         wall_s=wall_s,
@@ -336,12 +328,12 @@ def _run_pool(
                         # Already running (the straggler): abandon it
                         # and terminate its process at shutdown.
                         abandoned = True
-                    if tracer is not None and shard.index in dispatch_ctx:
+                    if shard.index in dispatch_ctx:
                         # The loser may never get to write its own span
                         # (its process is terminated at shutdown), so
                         # the scheduler records the losing dispatch as a
                         # sibling of the winner's ``shard.worker`` span.
-                        tracer.emit_span(
+                        rec.emit_span(
                             "shard.worker.lost",
                             dispatch_ctx[shard.index].child(),
                             wall_s=time.monotonic()
@@ -353,7 +345,7 @@ def _run_pool(
                             },
                             error="lost the dispatch race; cancelled",
                         )
-                    _metrics.count_shard_dispatch("cancelled")
+                    _metrics.inc("repro_shard_dispatch_total", event="cancelled")
                     if rec is not None:
                         rec.counter("shard.cancelled", 1)
             if timeout is not None:

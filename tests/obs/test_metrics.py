@@ -196,11 +196,12 @@ class TestGate:
         registry = MetricsRegistry()
         previous = set_registry(registry)
         try:
-            obs_metrics.observe_sinkhorn(
-                "scalar", iterations=5, residual=1e-9, converged=True
+            obs_metrics.inc(
+                "repro_sinkhorn_runs_total", kernel="scalar", converged="true"
             )
-            obs_metrics.observe_svd("scalar", 0.01)
-            obs_metrics.count_characterize("standard")
+            obs_metrics.observe("repro_svd_seconds", 0.01, kernel="scalar")
+            obs_metrics.set("repro_serve_admission_limit", 4.0, endpoint="x")
+            obs_metrics.preregister("repro_serve_shed_total")
             assert registry.names() == ()
         finally:
             set_registry(previous)
@@ -320,8 +321,10 @@ class TestHotPathFeeds:
                 ),
             ),
         )
-        registry = MetricsRegistry()
-        obs_metrics.count_member_outcomes(report, registry=registry)
+        from repro.robust.ensemble import _record_counters
+
+        with collecting_metrics(MetricsRegistry()) as registry:
+            _record_counters(None, report)
         outcomes = registry.get("repro_member_outcomes_total")
         assert outcomes.value(outcome="quarantined") == 1.0
         assert outcomes.value(outcome="repaired") == 1.0

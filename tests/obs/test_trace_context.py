@@ -2,23 +2,31 @@
 
 from __future__ import annotations
 
+import contextvars
 import json
+import logging
+import os
+import threading
+import time
 
+import numpy as np
 import pytest
 
 from repro.obs import (
     TIMING_STAGES,
+    LoggingSink,
     MemorySink,
+    Recorder,
     RequestTrace,
     TraceContext,
-    Tracer,
+    current_recorder,
     current_trace,
-    current_tracer,
     recording,
     span,
     trace_scope,
     tracing,
 )
+from repro.obs.events import jsonable
 
 
 class TestTraceContext:
@@ -127,11 +135,14 @@ class TestRequestTrace:
 
 
 class TestTracer:
+    """Spans recorded under an explicit context (``emit_span``) and the
+    process-wide recorder."""
+
     def test_emit_span_writes_straight_to_sink(self):
         sink = MemorySink()
-        tracer = Tracer(sink, process="unit")
+        rec = Recorder([sink], process="unit")
         ctx = TraceContext.new()
-        tracer.emit_span("demo", ctx, wall_s=0.5, meta={"k": 1})
+        rec.emit_span("demo", ctx, wall_s=0.5, meta={"k": 1})
         assert len(sink.records) == 1
         record = sink.records[0]
         assert record["type"] == "span"
@@ -143,17 +154,20 @@ class TestTracer:
 
     def test_span_context_manager_records_errors(self):
         sink = MemorySink()
-        tracer = Tracer(sink)
-        with pytest.raises(RuntimeError):
-            with tracer.span("boom", TraceContext.new()):
-                raise RuntimeError("nope")
-        assert sink.records[0]["error"] == "RuntimeError: nope"
+        ctx = TraceContext.new()
+        with Recorder([sink]).activate(), trace_scope(ctx):
+            with pytest.raises(RuntimeError):
+                with span("boom"):
+                    raise RuntimeError("nope")
+        [record] = sink.records
+        assert record["error"] == "RuntimeError"
+        assert record["trace_id"] == ctx.trace_id
 
     def test_links_survive_to_the_record(self):
         sink = MemorySink()
-        tracer = Tracer(sink)
+        rec = Recorder([sink])
         members = [TraceContext.new() for _ in range(3)]
-        tracer.emit_span(
+        rec.emit_span(
             "fan-in",
             TraceContext.new(),
             wall_s=0.1,
@@ -164,9 +178,9 @@ class TestTracer:
 
     def test_index_is_monotonic(self):
         sink = MemorySink()
-        tracer = Tracer(sink)
+        rec = Recorder([sink])
         for _ in range(5):
-            tracer.emit_span("s", TraceContext.new(), wall_s=0.0)
+            rec.emit_span("s", TraceContext.new(), wall_s=0.0)
         assert [r["index"] for r in sink.records] == list(range(5))
 
 
@@ -180,12 +194,12 @@ class TestAmbientState:
 
     def test_tracing_installs_process_tracer(self, tmp_path):
         path = tmp_path / "spans.jsonl"
-        assert current_tracer() is None
-        with tracing(str(path)) as tracer:
-            assert current_tracer() is tracer
-            assert tracer.path == str(path)
-            tracer.emit_span("demo", TraceContext.new(), wall_s=0.1)
-        assert current_tracer() is None
+        assert current_recorder() is None
+        with tracing(str(path)) as rec:
+            assert current_recorder() is rec
+            assert rec.sinks[0].path == str(path)
+            rec.emit_span("demo", TraceContext.new(), wall_s=0.1)
+        assert current_recorder() is None
         assert path.exists()
 
     def test_recorder_spans_pick_up_ambient_trace(self):
@@ -205,3 +219,100 @@ class TestAmbientState:
         untraced = by_name["untraced.step"]
         assert untraced.trace_id is None
         assert "trace_id" not in untraced.to_record()
+
+
+def _kernel():
+    with span("kernel"):
+        pass
+
+
+class TestOneSpanModel:
+    def test_nested_spans_nest_under_trace_scope(self):
+        ctx = TraceContext.new()
+        with recording() as rec, trace_scope(ctx):
+            with span("outer"):
+                with span("inner"):
+                    pass
+        by_name = {e.name: e for e in rec.events}
+        outer, inner = by_name["outer"], by_name["inner"]
+        assert outer.parent_id == ctx.span_id
+        assert inner.parent_id == outer.span_id
+        assert inner.trace_id == outer.trace_id == ctx.trace_id
+        assert (outer.depth, inner.depth) == (0, 1)
+
+    def test_open_span_context_reaches_a_copied_thread_context(self):
+        """The coalescer's pattern: a kernel thread running in a copy of
+        the flushing context nests its spans under the open span."""
+        ctx = TraceContext.new()
+        with recording() as rec, trace_scope(ctx):
+            with span("batch"):
+                copied = contextvars.copy_context()
+            worker = threading.Thread(target=copied.run, args=(_kernel,))
+            worker.start()
+            worker.join()
+        by_name = {e.name: e for e in rec.events}
+        assert by_name["kernel"].parent_id == by_name["batch"].span_id
+
+    def test_logging_sink_accepts_every_span_record(self, caplog):
+        logger = logging.getLogger("repro.obs.one_model")
+        rec = Recorder([LoggingSink(logger)])
+        with caplog.at_level(logging.DEBUG, logger=logger.name):
+            rec.emit_span("emitted", TraceContext.new(), wall_s=0.01)
+            with rec.activate():
+                with span("untraced"):
+                    pass
+                with trace_scope(TraceContext.new()), span("traced"):
+                    pass
+        messages = [r.getMessage() for r in caplog.records]
+        for name in ("emitted", "untraced", "traced"):
+            assert any(m.startswith(f"span {name} ") for m in messages), name
+
+    def test_zero_d_array_meta_reaches_a_jsonl_sink(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        with recording(trace_path=str(path)):
+            meta = {"value": np.array(3.0), "nested": {"n": np.array(2)}}
+            with span("zero.d", **meta):
+                pass
+        [record] = [
+            json.loads(line)
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if json.loads(line)["type"] == "span"
+        ]
+        assert record["meta"] == {"value": 3.0, "nested": {"n": 2}}
+
+    def test_jsonable_coerces_zero_d_arrays(self):
+        assert jsonable(np.array(3.0)) == 3.0
+        assert jsonable({"k": np.array(7)}) == {"k": 7}
+        assert jsonable([np.array(1.5), np.float64(2.0)]) == [1.5, 2.0]
+
+    def test_tracing_is_process_wide_and_keeps_nothing(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        ctx = TraceContext.new()
+
+        def work():
+            with trace_scope(ctx), span("from.thread"):
+                pass
+
+        with tracing(str(path)) as rec:
+            worker = threading.Thread(target=work)
+            worker.start()
+            worker.join()
+        assert rec.events == [] and rec.gauges == []
+        [record] = [
+            json.loads(line)
+            for line in path.read_text(encoding="utf-8").splitlines()
+        ]
+        assert record["name"] == "from.thread"
+        assert record["parent_id"] == ctx.span_id
+        assert record["pid"] == os.getpid()
+        assert record["start"] == pytest.approx(time.time(), abs=60.0)
+
+    def test_recording_shadows_the_process_recorder(self, tmp_path):
+        with tracing(str(tmp_path / "spans.jsonl")) as process_rec:
+            with recording() as rec:
+                assert current_recorder() is rec
+                with span("inner"):
+                    pass
+            assert current_recorder() is process_rec
+        assert [e.name for e in rec.events] == ["inner"]
+        assert not (tmp_path / "spans.jsonl").exists()

@@ -20,15 +20,14 @@ import pytest
 
 from repro.obs import (
     JsonlSink,
+    Recorder,
     RotatingJsonlSink,
     TraceContext,
-    Tracer,
     format_trace,
     group_traces,
     load_spans,
     query_traces,
 )
-from repro.obs.trace_context import append_span_record
 
 
 def _span(trace_id, span_id, *, parent=None, wall_s=0.1, start=0.0, **meta):
@@ -139,6 +138,19 @@ class TestQueryTraces:
         assert child_line.startswith("  - ")
 
 
+    def test_format_trace_shows_kernel_iteration_counts(self):
+        trace_id = "e" * 32
+        root = _span(trace_id, "1" * 16, name="serve.kernel", batch_size=2)
+        sinkhorn = _span(
+            trace_id, "2" * 16, parent="1" * 16, name="sinkhorn.batched",
+            iterations=7, converged_slices=2,
+        )
+        text = format_trace(group_traces([root, sinkhorn])[0])
+        line = next(l for l in text.splitlines() if "sinkhorn.batched" in l)
+        assert line.startswith("  - ")
+        assert "iterations=7" in line and "converged_slices=2" in line
+
+
 class TestSinkIntegrityUnderShutdown:
     def test_jsonl_sink_flushes_every_record(self, tmp_path):
         path = tmp_path / "spans.jsonl"
@@ -155,11 +167,11 @@ class TestSinkIntegrityUnderShutdown:
         script = f"""
 import sys, time
 sys.path.insert(0, {repr(os.path.join(os.getcwd(), "src"))})
-from repro.obs import JsonlSink, Tracer, TraceContext
+from repro.obs import JsonlSink, Recorder, TraceContext
 
-tracer = Tracer(JsonlSink({repr(str(path))}), process="victim")
+rec = Recorder([JsonlSink({repr(str(path))})], process="victim")
 for i in range(5):
-    tracer.emit_span("pre-kill", TraceContext.new(), wall_s=0.001)
+    rec.emit_span("pre-kill", TraceContext.new(), wall_s=0.001)
 print("ready", flush=True)
 time.sleep(30)  # killed long before this returns; sink never closed
 """
@@ -230,21 +242,19 @@ class TestRotatingSink:
 
 
 def _append_batch(job):
-    """Pool target: append ``count`` span records with one O_APPEND
-    write each (module-level for pickling)."""
+    """Pool target: a recorder of its own appends ``count`` span records
+    to the shared file, one O_APPEND write each (module-level for
+    pickling)."""
     path, writer, count = job
+    rec = Recorder([JsonlSink(path)], process=f"writer-{writer}")
     for index in range(count):
-        append_span_record(
-            path,
-            {
-                "type": "span",
-                "name": "worker.step",
-                "trace_id": "c" * 32,
-                "span_id": f"{writer:08x}{index:08x}",
-                "wall_s": 0.001,
-                "meta": {"writer": writer, "index": index},
-            },
+        rec.emit_span(
+            "worker.step",
+            TraceContext("c" * 32, f"{writer:08x}{index:08x}"),
+            wall_s=0.001,
+            meta={"writer": writer, "index": index},
         )
         if index % 7 == 0:
             time.sleep(0.001)  # encourage interleaving across writers
+    rec.close()
     return writer

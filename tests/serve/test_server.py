@@ -209,8 +209,12 @@ class TestConcurrentHttpBurst:
         )
 
 
-def _raw_exchange(server, data: bytes) -> bytes:
-    """Send raw bytes over one connection; the full raw response."""
+def _raw_exchange(server, data: bytes, *, half_close: bool = False) -> bytes:
+    """Send raw bytes over one connection; the full raw response.
+
+    ``half_close`` shuts the sending side after ``data``, so a server
+    that waits for more lines sees end of stream instead of hanging.
+    """
     import asyncio
 
     async def exchange():
@@ -218,6 +222,8 @@ def _raw_exchange(server, data: bytes) -> bytes:
             server.host, server.port
         )
         writer.write(data)
+        if half_close:
+            writer.write_eof()
         await writer.drain()
         raw = await reader.read()
         writer.close()
@@ -269,6 +275,34 @@ class TestMalformedFraming:
         assert raw.split(b"\r\n", 1)[0] == (
             b"HTTP/1.1 431 Request Header Fields Too Large"
         )
+
+    def test_too_many_header_lines_431(self, live_server, loop_errors):
+        """Distinct header names cannot grow the header dict without
+        bound: line 101 is answered with 431 (the stream stops there,
+        so the server leaves no unread bytes behind)."""
+        headers = b"".join(b"X-H%d: v\r\n" % i for i in range(101))
+        raw = _raw_exchange(
+            live_server,
+            b"POST /v1/characterize HTTP/1.1\r\n" + headers,
+            half_close=True,
+        )
+        assert raw.split(b"\r\n", 1)[0] == (
+            b"HTTP/1.1 431 Request Header Fields Too Large"
+        )
+        error = json.loads(raw.split(b"\r\n\r\n", 1)[1])["error"]
+        assert "header lines" in error["message"]
+
+    def test_hundred_header_lines_are_accepted(
+        self, live_server, loop_errors
+    ):
+        body = json.dumps({"matrix": [[1.0, 2.0], [3.0, 4.0]]}).encode()
+        headers = b"".join(b"X-H%d: v\r\n" % i for i in range(99))
+        raw = _raw_exchange(
+            live_server,
+            b"POST /v1/characterize HTTP/1.1\r\n" + headers
+            + b"Content-Length: %d\r\n\r\n" % len(body) + body,
+        )
+        assert raw.split(b"\r\n", 1)[0] == b"HTTP/1.1 200 OK"
 
     def test_server_keeps_serving_afterwards(self, live_server, loop_errors):
         _raw_exchange(

@@ -132,6 +132,68 @@ class TestSpanTree:
         assert by_name["serve.cache"]["parent_id"] == root["span_id"]
         assert by_name["serve.cache"]["meta"]["outcome"] == "miss"
 
+    def test_trace_reaches_into_the_kernel(self, metrics_registry, tmp_path):
+        """serve.request -> serve.kernel -> sinkhorn.batched (with its
+        iteration counts) -> svd.batched, all in the request's trace."""
+        config = ServeConfig(
+            linger_s=0.001, trace_path=str(tmp_path / "spans.jsonl")
+        )
+        [(status, _, _, headers)] = _exchange_sync(
+            config, [("POST", "/v1/characterize", _BODY, None)]
+        )
+        assert status == 200
+        spans = load_spans(config.trace_path)
+        trace_id = headers["X-Repro-Trace-Id"]
+        assert all(s["trace_id"] == trace_id for s in spans)
+        by_id = {s["span_id"]: s for s in spans}
+
+        def ancestors(record):
+            names = []
+            while record["parent_id"] in by_id:
+                record = by_id[record["parent_id"]]
+                names.append(record["name"])
+            return names
+
+        by_name = {s["name"]: s for s in spans}
+        kernel = by_name["serve.kernel"]
+        assert kernel["parent_id"] == by_name["serve.request"]["span_id"]
+        sinkhorn = by_name["sinkhorn.batched"]
+        assert sinkhorn["meta"]["iterations"] > 0
+        assert sinkhorn["meta"]["converged_slices"] == 1
+        assert ancestors(sinkhorn)[-2:] == ["serve.kernel", "serve.request"]
+        assert ancestors(by_name["svd.batched"])[-2:] == [
+            "serve.kernel", "serve.request"
+        ]
+        # The kernel ran on an executor thread of the serving process.
+        assert {s["process"] for s in spans} == {"repro-serve"}
+
+    def test_batch_flushed_by_a_drain_is_traced(
+        self, metrics_registry, tmp_path
+    ):
+        """A lingering batch flushed by shutdown, outside any request's
+        context, still traces into the kernel."""
+        config = ServeConfig(
+            linger_s=30.0, trace_path=str(tmp_path / "spans.jsonl")
+        )
+
+        async def _go(server):
+            request = asyncio.ensure_future(
+                server.exchange("POST", "/v1/characterize", _BODY)
+            )
+            while not server.coalescers["characterize"].pending:
+                await asyncio.sleep(0.001)
+            assert await server.shutdown(drain_timeout_s=5.0)
+            return await request
+
+        status, _, _, headers = _run(_with_server(config, _go))
+        assert status == 200
+        spans = load_spans(config.trace_path)
+        names = {
+            s["name"] for s in spans
+            if s["trace_id"] == headers["X-Repro-Trace-Id"]
+        }
+        assert {"serve.kernel", "sinkhorn.batched"} <= names
+
     def test_cache_hit_span(self, metrics_registry, tmp_path):
         config = ServeConfig(
             linger_s=0.001, trace_path=str(tmp_path / "spans.jsonl")
@@ -335,5 +397,5 @@ class TestSlowLogAndExemplars:
             return server
 
         server = _run(_with_server(config, _go))
-        assert server.tracer.sink._handle is None
+        assert server.recorder.sinks[0]._handle is None
         assert server.slow_log._handle is None

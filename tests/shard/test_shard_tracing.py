@@ -78,8 +78,14 @@ class TestPooledRunTracing:
         assert spans and all(
             s["trace_id"] == ambient.trace_id for s in spans
         )
+        # The run's own span nests under the ambient context, and the
+        # dispatches under the run.
+        run = next(
+            s for s in spans if s["name"] == "shard.characterize_store"
+        )
+        assert run["parent_id"] == ambient.span_id
         for dispatch in (s for s in spans if s["name"] == "shard.dispatch"):
-            assert dispatch["parent_id"] == ambient.span_id
+            assert dispatch["parent_id"] == run["span_id"]
 
     def test_speculation_yields_sibling_pair_under_one_parent(
         self, store, tmp_path
