@@ -9,9 +9,14 @@ Dispatch rules (documented in ``docs/BATCHED.md``):
 
 * all slices share a shape and are strictly positive → fully batched
   kernels (stacked Sinkhorn + one stacked SVD);
-* zero-patterned slices → scalar :func:`repro.measures.characterize`
-  per slice, so the Section-VI ``tma_fallback`` semantics
-  (strict/limit/column) are honoured exactly;
+* zero-patterned slices that have a standard form (the exact Menon
+  test, :func:`repro.structure.normalizability_report`, finds feasible
+  margins and no blocking edge) → the same batched kernels, bit-equal
+  to scalar :func:`repro.measures.characterize` on that slice;
+* zero patterns with no standard form (paper Section VI) → scalar
+  :func:`repro.measures.characterize` per slice, so the
+  ``tma_fallback`` semantics (strict/limit/column) are honoured
+  exactly;
 * ragged shapes, or ``batched=False`` → the scalar path for everything,
   optionally across a process pool (``n_jobs``).
 
@@ -31,6 +36,7 @@ from ..exceptions import MatrixShapeError, MatrixValueError, WeightError
 from ..normalize.sinkhorn import coerce_warm_start
 from ..normalize.standard_form import DEFAULT_TOL
 from ..obs import current_recorder, metrics as _metrics, span, traced
+from ..structure import normalizability_report
 from ._stack import as_ecs_stack, stack_environments
 from .measures import average_adjacent_ratio_batched
 from .sinkhorn import standardize_batched
@@ -65,8 +71,9 @@ class EnsembleCharacterization:
         Whether the standard-form iteration reached tolerance.
     batched : numpy.ndarray of bool, shape (N,)
         Which members took the batched kernels (False = scalar
-        fallback — zero-patterned slice, ragged input, or
-        ``batched=False``).
+        fallback — a zero pattern with no standard form, ragged input,
+        or ``batched=False``).  Zero-patterned members that have a
+        standard form are batched.
     n_tasks, n_machines : int or None
         Common slice dimensions; ``None`` when the input was ragged.
     """
@@ -277,8 +284,10 @@ def characterize_ensemble(
     tol, max_iterations
         Sinkhorn controls for the standard form.
     tma_fallback : {"limit", "column", "raise"}
-        Section-VI handling for zero-patterned members (these always
-        take the scalar path; see :func:`repro.measures.characterize`).
+        Section-VI handling for zero patterns with no standard form
+        (these take the scalar path; see
+        :func:`repro.measures.characterize`).  Zero patterns that have
+        one are batched and never need it.
     batched : bool
         Force the scalar path with ``False`` (useful for differential
         testing and for memory-constrained very large stacks — the
@@ -433,27 +442,36 @@ def characterize_ensemble(
 
     n_slices, n_tasks, n_machines = stack.shape
     positive = (stack > 0).all(axis=(1, 2))
-    if not batched:
-        positive = np.zeros(n_slices, dtype=bool)
+    in_batch = positive & batched
     warm_rows = warm_cols = None
     if warm_start is not None:
-        if not positive.all():
+        if not in_batch.all():
             raise MatrixValueError(
                 "warm_start requires batched=True and a strictly "
-                "positive stack (zero-patterned slices take the scalar "
-                "path, which cannot reuse scaling vectors)"
+                "positive stack (scaling vectors are only reused for "
+                "strictly positive members)"
             )
         warm_rows, warm_cols = coerce_warm_start(
             warm_start, n_slices, n_tasks, n_machines
         )
+    if batched:
+        # A member with zeros joins the batch when it has a standard
+        # form (Menon's test finds no blocking edge): the core then runs
+        # on the same matrix as the scalar path would.  Only the
+        # Section-VI patterns keep the scalar path and its limit
+        # semantics; so do members a fault plan made NaN or negative.
+        zero = ~positive & (stack >= 0).all(axis=(1, 2))
+        for i in np.flatnonzero(zero):
+            in_batch[i] = normalizability_report(stack[i]).normalizable
+    n_batched = int(in_batch.sum())
     rec = current_recorder()
     if rec is not None:
         rec.counter("ensemble.slices", n_slices)
-        rec.counter("ensemble.batched_slices", int(positive.sum()))
-        rec.counter("ensemble.fallback_slices", int((~positive).sum()))
+        rec.counter("ensemble.batched_slices", n_batched)
+        rec.counter("ensemble.fallback_slices", n_slices - n_batched)
     for path, count in (
-        ("batched", int(positive.sum())),
-        ("fallback", int((~positive).sum())),
+        ("batched", n_batched),
+        ("fallback", n_slices - n_batched),
     ):
         if count:
             _metrics.inc("repro_ensemble_members_total", count, path=path)
@@ -464,25 +482,25 @@ def characterize_ensemble(
     iterations = np.empty(n_slices, dtype=np.int64)
     converged = np.zeros(n_slices, dtype=bool)
 
-    if positive.any():
+    if in_batch.any():
         (
-            mph[positive],
-            tdh[positive],
-            tma[positive],
-            iterations[positive],
-            converged[positive],
+            mph[in_batch],
+            tdh[in_batch],
+            tma[in_batch],
+            iterations[in_batch],
+            converged[in_batch],
         ) = _characterize_stack_batched(
-            stack[positive],
+            stack[in_batch],
             tol=tol,
             max_iterations=max_iterations,
             warm_start=(
                 None
                 if warm_rows is None
-                else (warm_rows[positive], warm_cols[positive])
+                else (warm_rows[in_batch], warm_cols[in_batch])
             ),
         )
 
-    fallback = ~positive
+    fallback = ~in_batch
     if fallback.any():
         from .._parallel import parallel_map
 
@@ -501,7 +519,7 @@ def characterize_ensemble(
         tma=tma,
         iterations=iterations,
         converged=converged,
-        batched=positive,
+        batched=in_batch,
         n_tasks=n_tasks,
         n_machines=n_machines,
     )

@@ -17,9 +17,13 @@ normalizability pre-test: zero-patterned slices that admit no standard
 form simply fail to converge and are reported through the ``converged``
 mask (or a :class:`~repro.exceptions.ConvergenceError` naming the
 slices when ``require_convergence=True``).  Callers that need the
-Section-VI limit semantics should route zero-containing slices through
-the scalar path — :func:`repro.batch.characterize_ensemble` does
-exactly that.
+Section-VI limit semantics should run the Menon test
+(:func:`repro.structure.normalizability_report`) and route only the
+slices with blocking edges or infeasible margins through the scalar
+path — :func:`repro.batch.characterize_ensemble` does exactly that.
+
+Residual histories are logged as one array per iteration; the
+per-slice ``residual_history`` tuples are built when first read.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from ..exceptions import ConvergenceError, MatrixValueError
 from ..normalize.outcome import _removed_alias
 from ..normalize.sinkhorn import (
     NormalizationResult,
+    ResidualLog,
     _check_deadline,
     _observe_runs,
     _scale_stack,
@@ -81,6 +86,7 @@ class BatchNormalizationResult:
     residual_history : tuple of tuple of float
         Per-slice residual trace; entry 0 of each is the residual of
         the *input* slice, matching the scalar result's convention.
+        Built from the kernel's residual log on first read.
     row_target, col_target : float
         The target sums the iteration aimed for.
     """
@@ -117,6 +123,32 @@ class BatchNormalizationResult:
             row_target=self.row_target,
             col_target=self.col_target,
         )
+
+
+class _BuiltOnRead:
+    """Storage of the ``residual_history`` field.
+
+    The batched kernel passes the core's :class:`ResidualLog`; it is
+    turned into the per-slice tuples the first time the field is read,
+    so a run whose histories nobody reads never builds them.  Any other
+    value is stored as given.
+    """
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError("residual_history")
+        value = obj.__dict__["residual_history"]
+        if isinstance(value, ResidualLog):
+            value = obj.__dict__["residual_history"] = value.histories()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__["residual_history"] = value
+
+
+# Installed after the dataclass is built, so the field keeps no default
+# and stays out of the repr; __init__ stores through it.
+BatchNormalizationResult.residual_history = _BuiltOnRead()
 
 
 def sinkhorn_knopp_batched(
@@ -219,7 +251,7 @@ def sinkhorn_knopp_batched(
                 sp.sample("active_slices", active_count)
         else:
             on_progress = None
-        histories, iterations, residual, converged, it, timed_out = (
+        log, iterations, residual, converged, it, timed_out = (
             _scale_stack(
                 work,
                 np.full(n_rows, row_target),
@@ -266,7 +298,7 @@ def sinkhorn_knopp_batched(
         converged=converged,
         iterations=iterations,
         residual=residual,
-        residual_history=tuple(tuple(h) for h in histories),
+        residual_history=log,
         row_target=row_target,
         col_target=col_target,
     )

@@ -151,6 +151,44 @@ def _warm_started(work: np.ndarray, warm_start):
     return rows[:, :, None] * work * cols[:, None, :], rows, cols
 
 
+class ResidualLog:
+    """The residuals one run of :func:`_scale_stack` logged, with the
+    per-slice histories built from them on demand.
+
+    ``entry`` holds every slice's residual before the first iteration;
+    ``steps`` holds one ``(idx, res)`` array pair per iteration: the
+    residuals of the sub-stack whose rows are slices ``idx``.  A slice
+    that froze may stay in the sub-stack, and in the log, until the next
+    compaction, so slice ``i``'s history is its entry residual followed
+    by the first ``iterations[i]`` values logged for it.
+    """
+
+    __slots__ = ("entry", "steps", "iterations")
+
+    def __init__(self, entry: np.ndarray, iterations: np.ndarray) -> None:
+        self.entry = entry
+        self.steps: list[tuple[np.ndarray, np.ndarray]] = []
+        self.iterations = iterations
+
+    def histories(self) -> tuple[tuple[float, ...], ...]:
+        """Per-slice residual tuples; entry 0 is the residual at entry."""
+        entry = self.entry.tolist()
+        if not self.steps:
+            return tuple((value,) for value in entry)
+        idx = np.concatenate([i for i, _ in self.steps])
+        res = np.concatenate([r for _, r in self.steps])
+        # A stable sort keeps each slice's values in iteration order.
+        values = res[np.argsort(idx, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(idx, minlength=len(entry))).tolist()
+        starts = [0] + ends[:-1]
+        return tuple(
+            (first,) + tuple(values[start:start + count])
+            for first, start, count in zip(
+                entry, starts, self.iterations.tolist()
+            )
+        )
+
+
 def _scale_stack(
     work: np.ndarray,
     row_targets: np.ndarray,
@@ -172,42 +210,57 @@ def _scale_stack(
     The still-active slices are gathered into one contiguous sub-stack;
     a slice is written back when it freezes, and the stragglers when
     the loop stops (``max_iterations`` or the monotonic end time
-    ``t_end``, checked once per iteration).  ``on_progress`` receives
-    the active-slice count before every iteration.
+    ``t_end``, checked once per iteration).  Frozen slices ride along
+    in the sub-stack, their further iterates ignored, until at least
+    half of it has frozen; then it is compacted.  ``on_progress``
+    receives the active-slice count before every iteration.
 
-    Returns ``(histories, iterations, residual, converged,
-    iterations_run, timed_out)``: per-slice residual lists (entry 0 is
-    the residual at entry), per-slice iteration counts, final
-    residuals, the convergence mask, the iterations the loop ran, and
-    whether ``t_end`` stopped it.
+    Returns ``(log, iterations, residual, converged, iterations_run,
+    timed_out)``: the :class:`ResidualLog` of the run, per-slice
+    iteration counts, final residuals, the convergence mask, the
+    iterations the loop ran, and whether ``t_end`` stopped it.
     """
+    # The ufuncs are called directly: the same loops as .sum()/.max(),
+    # without the method dispatch.  Column sums add each column top to
+    # bottom, as the 2-D loop's sum(axis=0) does.  einsum makes the same
+    # adds several times faster on a stack of slices; it is not used on
+    # a single column, whose sum it vectorizes in another order, nor on
+    # a stack of one to three slices, where its call costs more than it
+    # saves.
+    add, largest = np.add.reduce, np.maximum.reduce
+    by_einsum = work.shape[0] >= 4 and work.shape[2] > 1
+
     # A slice's column sums are computed once per iterate: for the
     # residual check, then reused by the next column pass.
-    col_sums = work.sum(axis=1)
-    residual = np.maximum(
-        np.abs(work.sum(axis=2) - row_targets).max(axis=1),
-        np.abs(col_sums - col_targets).max(axis=1),
+    col_sums = np.einsum("nij->nj", work) if by_einsum else add(work, axis=1)
+    entry = np.maximum(
+        largest(np.abs(add(work, axis=2) - row_targets), axis=1),
+        largest(np.abs(col_sums - col_targets), axis=1),
     )
-    histories = [[r] for r in residual.tolist()]
+    residual = entry.copy()
     converged = residual <= tol
     iterations = np.zeros(work.shape[0], dtype=np.int64)
+    log = ResidualLog(entry, iterations)
+    steps = log.steps
     idx = np.flatnonzero(~converged)
     sub, rs, cs = work[idx], row_scale[idx], col_scale[idx]
     col_sums = col_sums[idx]
-    traces = [histories[i] for i in idx.tolist()]
+    # Rows of ``sub`` still iterating; None while all of them are.
+    live = None
+    n_live = idx.size
     iterations_run = 0
     timed_out = False
-    while idx.size and iterations_run < max_iterations:
+    while n_live and iterations_run < max_iterations:
         if t_end is not None and time.monotonic() >= t_end:
             timed_out = True
             break
         if on_progress is not None:
-            on_progress(idx.size)
+            on_progress(n_live)
         # Column pass (eq. 9, odd k), then row pass (even k): scale
         # every column, then every row, to its target.
         col_factors = col_targets / col_sums
         sub *= col_factors[:, None, :]
-        row_factors = row_targets / sub.sum(axis=2)
+        row_factors = row_targets / add(sub, axis=2)
         sub *= row_factors[:, :, None]
         # The accumulated diagonal scales can overflow for
         # non-normalizable zero patterns (they genuinely diverge while
@@ -217,35 +270,46 @@ def _scale_stack(
             cs *= col_factors
             rs *= row_factors
         iterations_run += 1
-        col_sums = sub.sum(axis=1)
+        col_sums = np.einsum("nij->nj", sub) if by_einsum else add(sub, axis=1)
         res = np.maximum(
-            np.abs(sub.sum(axis=2) - row_targets).max(axis=1),
-            np.abs(col_sums - col_targets).max(axis=1),
+            largest(np.abs(add(sub, axis=2) - row_targets), axis=1),
+            largest(np.abs(col_sums - col_targets), axis=1),
         )
-        for trace, value in zip(traces, res.tolist()):
-            trace.append(value)
+        steps.append((idx, res))
         done = res <= tol
-        if done.any():
-            frozen = idx[done]
-            work[frozen] = sub[done]
-            row_scale[frozen] = rs[done]
-            col_scale[frozen] = cs[done]
-            residual[frozen] = res[done]
-            iterations[frozen] = iterations_run
-            converged[frozen] = True
-            keep = ~done
+        if live is not None:
+            done &= live
+        n_done = np.count_nonzero(done)
+        if not n_done:
+            continue
+        frozen = idx[done]
+        work[frozen] = sub[done]
+        row_scale[frozen] = rs[done]
+        col_scale[frozen] = cs[done]
+        residual[frozen] = res[done]
+        iterations[frozen] = iterations_run
+        converged[frozen] = True
+        n_live -= n_done
+        if not n_live:
+            break
+        live = ~done if live is None else live & ~done
+        if 2 * n_live <= idx.size:
             idx, sub, rs, cs, col_sums, res = (
-                idx[keep], sub[keep], rs[keep], cs[keep], col_sums[keep],
-                res[keep],
+                idx[live], sub[live], rs[live], cs[live], col_sums[live],
+                res[live],
             )
-            traces = [t for t, k in zip(traces, keep.tolist()) if k]
-    if iterations_run and idx.size:
+            live = None
+    if iterations_run and n_live:
+        if live is not None:
+            idx, sub, rs, cs, res = (
+                idx[live], sub[live], rs[live], cs[live], res[live]
+            )
         work[idx] = sub
         row_scale[idx] = rs
         col_scale[idx] = cs
         residual[idx] = res
         iterations[idx] = iterations_run
-    return histories, iterations, residual, converged, iterations_run, timed_out
+    return log, iterations, residual, converged, iterations_run, timed_out
 
 
 @dataclass(frozen=True)
@@ -355,7 +419,7 @@ def _scale_matrix(
     stack, row_scale, col_scale = _warm_started(work[None], warm_start)
     t_end = _check_deadline(deadline_s)
     with _obs_span(f"sinkhorn.{kernel}", rows=n_rows, cols=n_cols) as sp:
-        histories, iterations, _, converged, _, timed_out = _scale_stack(
+        log, iterations, _, converged, _, timed_out = _scale_stack(
             stack,
             row_targets,
             col_targets,
@@ -365,7 +429,7 @@ def _scale_matrix(
             col_scale=col_scale,
             t_end=t_end,
         )
-        history = histories[0]
+        history = log.histories()[0]
         iterations = int(iterations[0])
         converged = bool(converged[0])
         sp.note(
@@ -401,7 +465,7 @@ def _scale_matrix(
         converged=converged,
         iterations=iterations,
         residual=history[-1],
-        residual_history=tuple(history),
+        residual_history=history,
         row_target=row_target,
         col_target=col_target,
     )

@@ -18,6 +18,12 @@ is feasible at all and (b) *every* edge individually carries positive
 flow in at least one feasible solution — checked in one pass from the
 strongly connected components of the residual graph of any maximum
 flow.
+
+Both steps run in ``scipy.sparse.csgraph`` (Dinic's maximum flow, then
+strong components) over integer capacities, so the verdict is exact;
+for the small patterns of an ensemble member the test costs a few
+hundred microseconds, cheap enough to route every zero-carrying member
+of :func:`repro.batch.characterize_ensemble` by it.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import networkx as nx
 
 from .patterns import support_pattern
 
@@ -56,32 +61,41 @@ class NormalizabilityReport:
     blocking_edges: tuple[tuple[int, int], ...]
 
 
-def _transportation_network(
-    pattern: np.ndarray,
-) -> tuple[nx.DiGraph, int]:
-    """Build source→rows→cols→sink network with integer capacities.
+def _transportation_network(pattern: np.ndarray):
+    """The source→rows→cols→sink network of ``pattern``, in CSR form.
 
-    Row supplies are ``M`` units each and column demands ``T`` units
-    each (both scaled), the smallest integer margins consistent with
-    equal row sums and equal column sums.
+    Returns ``(tails, heads, capacity, indptr)``, one array entry per
+    arc.  Node 0 is the source, nodes ``1..T`` the rows, ``T+1..T+M``
+    the columns and ``T+M+1`` the sink.  The arcs are sorted by tail:
+    first the ``T`` source arcs, then the pattern arcs in row-major
+    order, then the ``M`` sink arcs.
     """
     n_rows, n_cols = pattern.shape
+    rows, cols = np.nonzero(pattern)
+    row_nodes = np.arange(1, n_rows + 1)
+    col_nodes = np.arange(n_rows + 1, n_rows + n_cols + 1)
+    tails = np.concatenate(
+        [np.zeros(n_rows, dtype=np.intp), rows + 1, col_nodes]
+    )
+    heads = np.concatenate(
+        [row_nodes, cols + n_rows + 1, np.full(n_cols, n_rows + n_cols + 1)]
+    )
     # Integer margins: every row supplies M units, every column demands
     # T units, so the grand totals agree exactly (T*M each way) and the
-    # max-flow is computed in exact integer arithmetic.
-    row_cap = n_cols
-    col_cap = n_rows
-    graph = nx.DiGraph()
-    for i in range(n_rows):
-        graph.add_edge("s", ("r", i), capacity=row_cap)
-    for j in range(n_cols):
-        graph.add_edge(("c", j), "t", capacity=col_cap)
-    rows, cols = np.nonzero(pattern)
-    for i, j in zip(rows, cols):
-        # Pattern edges are effectively uncapacitated.
-        graph.add_edge(("r", int(i)), ("c", int(j)),
-                       capacity=n_rows * row_cap)
-    return graph, n_rows * row_cap
+    # max-flow is computed in exact integer arithmetic.  Pattern arcs
+    # are effectively uncapacitated.
+    capacity = np.concatenate(
+        [
+            np.full(n_rows, n_cols),
+            np.full(rows.size, n_rows * n_cols),
+            np.full(n_cols, n_rows),
+        ]
+    ).astype(np.int32)
+    out_degree = np.concatenate(
+        [[n_rows], pattern.sum(axis=1), np.ones(n_cols, dtype=np.intp), [0]]
+    )
+    indptr = np.concatenate([[0], np.cumsum(out_degree)])
+    return tails, heads, capacity, indptr
 
 
 def normalizability_report(matrix) -> NormalizabilityReport:
@@ -99,41 +113,53 @@ def normalizability_report(matrix) -> NormalizabilityReport:
             feasible=False,
             blocking_edges=(),
         )
-    graph, total = _transportation_network(pattern)
-    flow_value, flow = nx.maximum_flow(graph, "s", "t")
-    if flow_value < total:
+    # Imported here, so ``import repro`` does not load scipy.sparse.
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components, maximum_flow
+
+    n_rows, n_cols = pattern.shape
+    tails, heads, capacity, indptr = _transportation_network(pattern)
+    n_nodes = indptr.size - 1
+    network = csr_array((capacity, heads, indptr), shape=(n_nodes, n_nodes))
+    result = maximum_flow(network, 0, n_nodes - 1)
+    if result.flow_value < n_rows * n_cols:
         return NormalizabilityReport(
             normalizable=False, feasible=False, blocking_edges=()
         )
-    # Residual graph: forward edge when flow < capacity, backward when
-    # flow > 0.  A zero-flow pattern edge (u, v) can carry positive flow
+    flow = np.asarray(result.flow[tails, heads]).reshape(-1)
+    # Residual graph: forward arc when flow < capacity, backward when
+    # flow > 0.  A zero-flow pattern arc (u, v) can carry positive flow
     # in some feasible solution iff v reaches u in the residual graph —
     # i.e. u and v share a strongly connected component (positive-flow
-    # edges give the v→u residual arc directly, so they always qualify).
-    residual = nx.DiGraph()
-    for u, targets in flow.items():
-        for v, f in targets.items():
-            cap = graph[u][v]["capacity"]
-            if f < cap:
-                residual.add_edge(u, v)
-            if f > 0:
-                residual.add_edge(v, u)
-    component_of: dict = {}
-    for comp_id, comp in enumerate(nx.strongly_connected_components(residual)):
-        for node in comp:
-            component_of[node] = comp_id
-    blocking: list[tuple[int, int]] = []
-    rows, cols = np.nonzero(pattern)
-    for i, j in zip(rows, cols):
-        u, v = ("r", int(i)), ("c", int(j))
-        if flow[u].get(v, 0) > 0:
-            continue
-        if component_of.get(u) != component_of.get(v):
-            blocking.append((int(i), int(j)))
+    # arcs give the v→u residual arc directly, so they always qualify).
+    forward = flow < capacity
+    backward = flow > 0
+    residual = csr_array(
+        (
+            np.ones(int(forward.sum() + backward.sum()), dtype=np.int8),
+            (
+                np.concatenate([tails[forward], heads[backward]]),
+                np.concatenate([heads[forward], tails[backward]]),
+            ),
+        ),
+        shape=(n_nodes, n_nodes),
+    )
+    _, component = connected_components(
+        residual, directed=True, connection="strong"
+    )
+    arcs = slice(n_rows, indptr[n_rows + 1])
+    rows, cols = tails[arcs], heads[arcs]
+    blocked = (flow[arcs] == 0) & (component[rows] != component[cols])
+    blocking = tuple(
+        zip(
+            (rows[blocked] - 1).tolist(),
+            (cols[blocked] - n_rows - 1).tolist(),
+        )
+    )
     return NormalizabilityReport(
         normalizable=not blocking,
         feasible=True,
-        blocking_edges=tuple(blocking),
+        blocking_edges=blocking,
     )
 
 

@@ -233,6 +233,15 @@ class TestBatchedAgainstReference:
         result = standardize_batched(stack)
         _assert_slices_match(result, stack, *targets, tol=1e-8)
 
+    @pytest.mark.parametrize("shape", [(6, 9, 1), (6, 1, 9), (5, 17, 1)])
+    def test_single_line_stacks_match_reference(self, shape):
+        # One column is summed in another order by einsum; the core
+        # must keep the reference's top-to-bottom order there.
+        stack = np.random.default_rng(25).uniform(0.1, 10.0, size=shape)
+        _, t, m = shape
+        result = sinkhorn_knopp_batched(stack)
+        _assert_slices_match(result, stack, 1.0, t / m, tol=1e-8)
+
     def test_mixed_convergence_matches_reference(self, eq10_stack):
         result = sinkhorn_knopp_batched(
             eq10_stack, require_convergence=False, max_iterations=CAPPED

@@ -40,13 +40,20 @@ class TestDispatch:
             assert result.iterations[i] == profile.sinkhorn_iterations
 
     def test_zero_slices_fall_back_to_scalar(self):
+        """A zero pattern with a standard form no longer falls back: it
+        joins the batch, and its columns stay bit-equal to the scalar
+        path's (only the Section-VI patterns keep that path)."""
         rng = np.random.default_rng(1)
         stack = rng.uniform(0.5, 5.0, size=(4, 3, 3))
         stack[2, 0, 1] = 0.0  # normalizable zero pattern
         result = characterize_ensemble(stack)
-        assert result.batched.tolist() == [True, True, False, True]
+        assert result.batched.tolist() == [True, True, True, True]
         profile = characterize(stack[2])
-        assert result.tma[2] == pytest.approx(profile.tma, abs=1e-10)
+        assert result.mph[2] == profile.mph
+        assert result.tdh[2] == profile.tdh
+        assert result.tma[2] == profile.tma
+        assert result.iterations[2] == profile.sinkhorn_iterations
+        assert result.converged[2]
 
     def test_batched_false_forces_scalar_path(self, positive_stack):
         batched = characterize_ensemble(positive_stack)

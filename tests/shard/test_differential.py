@@ -9,6 +9,7 @@ quarantine reports under injected faults.
 import pytest
 
 from repro.batch import characterize_ensemble
+from repro.measures import characterize
 from repro.robust import FaultPlan
 from repro.shard import characterize_store, write_store
 
@@ -16,15 +17,18 @@ from .conftest import assert_results_equal, random_stack
 
 N_MEMBERS = 512
 CHUNK = 100  # five full shards + a short tail
+BLOCKING = 205  # the member whose zero pattern has blocking edges
 
 
 @pytest.fixture(scope="module")
 def stack():
     stack = random_stack(N_MEMBERS, 8, 8, seed=42)
-    # A couple of zero-patterned (but valid) members exercise the
-    # scalar fallback path inside chunks.
+    # Two normalizable zero patterns ride in the batch; one
+    # block-triangular member (its lower-left block can carry no flow,
+    # paper Section VI) exercises the scalar path inside a chunk.
     for member in (100, 301):
         stack[member, 0, 1] = 0.0
+    stack[BLOCKING, :4, 4:] = 0.0
     return stack
 
 
@@ -48,7 +52,11 @@ class TestPolicyMatrix:
         whole = characterize_ensemble(stack)
         sharded = characterize_store(store, chunk_size=CHUNK)
         assert_results_equal(sharded, whole)
-        assert not sharded.batched[100]  # scalar fallback kept
+        assert sharded.batched[[100, 301]].all()
+        assert not sharded.batched[BLOCKING]  # scalar fallback kept
+        profile = characterize(stack[BLOCKING])
+        assert profile.tma_method == "limit"
+        assert sharded.tma[BLOCKING] == profile.tma
 
     @pytest.mark.parametrize("policy", ["quarantine", "repair"])
     def test_faulty_policies_match(self, stack, store, policy, fault_plan):
