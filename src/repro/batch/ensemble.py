@@ -27,6 +27,7 @@ differential harness in ``tests/batch/`` enforces this).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -34,12 +35,12 @@ import numpy as np
 
 from ..exceptions import MatrixShapeError, MatrixValueError, WeightError
 from ..normalize.sinkhorn import coerce_warm_start
-from ..normalize.standard_form import DEFAULT_TOL
+from ..normalize.standard_form import DEFAULT_TOL, standard_targets
 from ..obs import current_recorder, metrics as _metrics, span, traced
 from ..structure import normalizability_report
 from ._stack import as_ecs_stack, stack_environments
-from .measures import average_adjacent_ratio_batched
-from .sinkhorn import standardize_batched
+from .measures import _adjacent_ratio_mean
+from .sinkhorn import _scale_batch
 
 __all__ = ["EnsembleCharacterization", "characterize_ensemble"]
 
@@ -200,7 +201,7 @@ def _characterize_stack_batched(
     warm_start=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched (MPH, TDH, TMA, iterations, converged) columns of a
-    strictly positive sub-stack.
+    sub-stack whose members all have a standard form.
 
     The same reductions :func:`repro.measures.characterize` performs on
     the weighted matrix, lifted one axis: MP is the column-sum rows, TD
@@ -208,11 +209,28 @@ def _characterize_stack_batched(
     standard form (eq. 8).  Per-slice results are independent of which
     other slices share the stack, which is what lets the robust
     pipeline promise bit-identical healthy members.
+
+    ``sub`` must be a float64 stack the caller owns: it is scaled in
+    place.  Its members are not validated again here.  Both callers
+    screen them before routing them to the batch:
+    :func:`characterize_ensemble` through :func:`as_ecs_stack` or the
+    per-member coercion (finite, non-negative, no empty line) plus
+    its strictly-positive-or-normalizable routing, and the robust
+    pipeline through :func:`repro.robust.classify_matrix` plus its
+    strictly-positive routing.  Only the weighted sums can still reach
+    inf, so they keep a guard: being non-negative, they are all finite
+    exactly when the largest of them is.
     """
-    mph = average_adjacent_ratio_batched(sub.sum(axis=1))
-    tdh = average_adjacent_ratio_batched(sub.sum(axis=2))
-    standard = standardize_batched(
+    largest = np.maximum.reduce
+    mp = np.add.reduce(sub, axis=1)
+    td = np.add.reduce(sub, axis=2)
+    if not math.isfinite(max(largest(mp, None), largest(td, None))):
+        raise MatrixValueError("values must be strictly positive and finite")
+    mph = _adjacent_ratio_mean(mp)
+    tdh = _adjacent_ratio_mean(td)
+    standard = _scale_batch(
         sub,
+        *standard_targets(sub.shape[1], sub.shape[2]),
         tol=tol,
         max_iterations=max_iterations,
         require_convergence=False,

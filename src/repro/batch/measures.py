@@ -53,10 +53,18 @@ def average_adjacent_ratio_batched(values) -> np.ndarray:
         )
     if not np.isfinite(arr).all() or (arr <= 0).any():
         raise MatrixValueError("values must be strictly positive and finite")
-    if arr.shape[1] == 1:
-        return np.ones(arr.shape[0], dtype=np.float64)
-    ordered = np.sort(arr, axis=1)
-    return (ordered[:, :-1] / ordered[:, 1:]).mean(axis=1)
+    return _adjacent_ratio_mean(arr)
+
+
+def _adjacent_ratio_mean(values: np.ndarray) -> np.ndarray:
+    """:func:`average_adjacent_ratio_batched` of an ``(N, K)`` float64
+    array the caller has already checked."""
+    n_rows, k = values.shape
+    if k == 1:
+        return np.ones(n_rows, dtype=np.float64)
+    ordered = np.sort(values, axis=1)
+    # The sum-then-divide of .mean(axis=1), without its dispatch.
+    return np.add.reduce(ordered[:, :-1] / ordered[:, 1:], axis=1) / (k - 1)
 
 
 def _stack_and_weights(stack, task_weights, machine_weights):

@@ -22,6 +22,15 @@ Section-VI limit semantics should run the Menon test
 slices with blocking edges or infeasible margins through the scalar
 path — :func:`repro.batch.characterize_ensemble` does exactly that.
 
+Each property of the input (finite, non-negative, no all-zero line,
+consistent targets) is checked once.  The public entry points,
+:func:`sinkhorn_knopp_batched` and :func:`standardize_batched`, validate
+a working copy and hand it to one private driver, ``_scale_batch``,
+which runs the core and packages the result without checking again.
+:func:`repro.batch.characterize_ensemble` calls that driver directly
+on members its callers have already screened (see
+``repro.batch.ensemble._characterize_stack_batched``).
+
 Residual histories are logged as one array per iteration; the
 per-slice ``residual_history`` tuples are built when first read.
 """
@@ -211,12 +220,8 @@ def sinkhorn_knopp_batched(
     array([[1., 1.],
            [1., 1.]])
     """
-    work = as_float_stack(stack, name="stack").copy()
-    if np.isinf(work).any():
-        raise MatrixValueError("stack must be finite (got inf entries)")
-    if (work < 0).any():
-        raise MatrixValueError("stack must be non-negative")
-    n_slices, n_rows, n_cols = work.shape
+    work = _validated_copy(stack)
+    n_rows, n_cols = work.shape[1:]
     row_target = check_positive_scalar(row_target, name="row_target")
     implied = n_rows * row_target / n_cols
     if col_target is None:
@@ -228,6 +233,27 @@ def sinkhorn_knopp_batched(
                 "inconsistent targets: need T*row_target == M*col_target "
                 f"({n_rows}*{row_target} != {n_cols}*{col_target})"
             )
+    return _scale_batch(
+        work,
+        row_target,
+        col_target,
+        tol=tol,
+        max_iterations=max_iterations,
+        require_convergence=require_convergence,
+        deadline_s=deadline_s,
+        warm_start=warm_start,
+    )
+
+
+def _validated_copy(stack) -> np.ndarray:
+    """The float64 working copy of ``stack`` the public entry points
+    hand to :func:`_scale_batch`: finite, non-negative, and with no
+    all-zero row or column in any slice."""
+    work = as_float_stack(stack, name="stack").copy()
+    if np.isinf(work).any():
+        raise MatrixValueError("stack must be finite (got inf entries)")
+    if (work < 0).any():
+        raise MatrixValueError("stack must be non-negative")
     zero_line = (work.sum(axis=2) == 0).any(axis=1) | (
         work.sum(axis=1) == 0
     ).any(axis=1)
@@ -238,19 +264,42 @@ def sinkhorn_knopp_batched(
             f"{bad[:5].tolist()}{'...' if bad.size > 5 else ''}; "
             "no scaling can fix that"
         )
+    return work
 
+
+def _scale_batch(
+    work: np.ndarray,
+    row_target: float,
+    col_target: float,
+    *,
+    tol: float,
+    max_iterations: int,
+    require_convergence: bool,
+    deadline_s: float | None,
+    warm_start,
+) -> BatchNormalizationResult:
+    """The batched driver: scale ``work`` in place to consistent
+    targets and package the result.
+
+    ``work`` must already satisfy :func:`_validated_copy`'s checks and
+    belong to the caller, who must not use it afterwards (the result's
+    ``matrix`` may be the same array).  The public entry points
+    validate and then call this; so does
+    :func:`repro.batch.ensemble._characterize_stack_batched`, whose
+    callers screen every member before routing it to the batch.
+    """
+    n_slices, n_rows, n_cols = work.shape
     work, row_scale, col_scale = _warm_started(work, warm_start)
     t_end = _check_deadline(deadline_s)
     rec = current_recorder()
     with _obs_span(
         "sinkhorn.batched", slices=n_slices, rows=n_rows, cols=n_cols
     ) as sp:
+        on_progress = None
         if rec is not None:
             # Active-mask occupancy: how many slices still iterate.
             def on_progress(active_count: int) -> None:
                 sp.sample("active_slices", active_count)
-        else:
-            on_progress = None
         log, iterations, residual, converged, it, timed_out = (
             _scale_stack(
                 work,
@@ -264,12 +313,13 @@ def sinkhorn_knopp_batched(
                 on_progress=on_progress,
             )
         )
-        sp.note(
-            iterations=it,
-            converged_slices=int(converged.sum()),
-            max_residual=float(residual.max()),
-            timed_out=timed_out,
-        )
+        if rec is not None:
+            sp.note(
+                iterations=it,
+                converged_slices=int(converged.sum()),
+                max_residual=float(residual.max()),
+                timed_out=timed_out,
+            )
     _observe_runs("batched", iterations, residual, converged)
     if warm_start is not None:
         _metrics.inc(
@@ -373,12 +423,10 @@ def standardize_batched(
             "budget/fault_plan require policy='quarantine' or "
             "policy='repair'"
         )
-    work = as_float_stack(stack, name="stack")
-    row_target, col_target = standard_targets(work.shape[1], work.shape[2])
-    return sinkhorn_knopp_batched(
+    work = _validated_copy(stack)
+    return _scale_batch(
         work,
-        row_target=row_target,
-        col_target=col_target,
+        *standard_targets(work.shape[1], work.shape[2]),
         tol=tol,
         max_iterations=max_iterations,
         require_convergence=require_convergence,

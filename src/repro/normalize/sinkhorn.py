@@ -17,6 +17,12 @@ points here run it on a one-slice view, and
 :func:`repro.batch.sinkhorn_knopp_batched` on the whole stack.  One
 iteration is two sums and two broadcast multiplies, O(N·T·M) with no
 Python-level loops over entries.
+
+The core validates nothing.  Its callers check each property once:
+:func:`sinkhorn_knopp` and :func:`scale_to_margins` validate the matrix
+and the targets, then share ``_scale_matrix`` (which rejects an
+all-zero line); the batched entry points do the same for a stack (see
+:mod:`repro.batch.sinkhorn`).
 """
 
 from __future__ import annotations
@@ -207,7 +213,11 @@ def _scale_stack(
     updated in place; the targets are ``(T,)``/``(M,)`` vectors.  A
     slice freezes the moment its residual reaches ``tol``, so its
     iterate sequence is the same whichever slices share the stack.
-    The still-active slices are gathered into one contiguous sub-stack;
+    While every slice still iterates, the loop runs on ``work`` and the
+    accumulators themselves, so a stack whose slices all freeze at the
+    same iteration is neither copied nor written back.  From the first
+    freeze on (or from the start, when a slice is converged at entry)
+    the still-active slices are gathered into one contiguous sub-stack;
     a slice is written back when it freezes, and the stragglers when
     the loop stops (``max_iterations`` or the monotonic end time
     ``t_end``, checked once per iteration).  Frozen slices ride along
@@ -228,85 +238,118 @@ def _scale_stack(
     # a stack of one to three slices, where its call costs more than it
     # saves.
     add, largest = np.add.reduce, np.maximum.reduce
-    by_einsum = work.shape[0] >= 4 and work.shape[2] > 1
+    subtract, absolute = np.subtract, np.abs
+    n_slices, n_rows, n_cols = work.shape
+    by_einsum = n_slices >= 4 and n_cols > 1
+    targets = np.concatenate((row_targets, col_targets))
 
-    # A slice's column sums are computed once per iterate: for the
-    # residual check, then reused by the next column pass.
-    col_sums = np.einsum("nij->nj", work) if by_einsum else add(work, axis=1)
-    entry = np.maximum(
-        largest(np.abs(add(work, axis=2) - row_targets), axis=1),
-        largest(np.abs(col_sums - col_targets), axis=1),
+    def buffers(sums: np.ndarray):
+        # Each iterate's row sums and column sums go side by side into
+        # one (k, T + M) buffer, so the residual is one subtract, one
+        # abs and one max over both (a max is exact, whatever the
+        # grouping).  The column sums are also the next column pass's.
+        return sums, sums[:, :n_rows], sums[:, n_rows:], np.empty_like(sums)
+
+    def residuals(stack: np.ndarray) -> np.ndarray:
+        add(stack, 2, out=sum_rows)
+        if by_einsum:
+            np.einsum("nij->nj", stack, out=col_sums)
+        else:
+            add(stack, 1, out=col_sums)
+        return largest(absolute(subtract(sums, targets, dev), dev), 1)
+
+    sums, sum_rows, col_sums, dev = buffers(
+        np.empty((n_slices, n_rows + n_cols))
     )
+    entry = residuals(work)
     residual = entry.copy()
-    converged = residual <= tol
-    iterations = np.zeros(work.shape[0], dtype=np.int64)
+    converged = entry <= tol
+    iterations = np.zeros(n_slices, dtype=np.int64)
     log = ResidualLog(entry, iterations)
     steps = log.steps
-    idx = np.flatnonzero(~converged)
-    sub, rs, cs = work[idx], row_scale[idx], col_scale[idx]
-    col_sums = col_sums[idx]
+    # ``in_place``: ``sub``/``rs``/``cs`` are ``work`` and the caller's
+    # accumulators themselves, and ``idx`` is every slice.
+    in_place = not np.count_nonzero(converged)
+    if in_place:
+        idx = np.arange(n_slices)
+        sub, rs, cs = work, row_scale, col_scale
+    else:
+        idx = np.flatnonzero(~converged)
+        sub, rs, cs = work[idx], row_scale[idx], col_scale[idx]
+        sums, sum_rows, col_sums, dev = buffers(sums[idx])
     # Rows of ``sub`` still iterating; None while all of them are.
     live = None
     n_live = idx.size
     iterations_run = 0
     timed_out = False
-    while n_live and iterations_run < max_iterations:
-        if t_end is not None and time.monotonic() >= t_end:
-            timed_out = True
-            break
-        if on_progress is not None:
-            on_progress(n_live)
-        # Column pass (eq. 9, odd k), then row pass (even k): scale
-        # every column, then every row, to its target.
-        col_factors = col_targets / col_sums
-        sub *= col_factors[:, None, :]
-        row_factors = row_targets / add(sub, axis=2)
-        sub *= row_factors[:, :, None]
-        # The accumulated diagonal scales can overflow for
-        # non-normalizable zero patterns (they genuinely diverge while
-        # the matrix iterates stay bounded); that is reported through
-        # ConvergenceError, not a warning.
-        with np.errstate(over="ignore"):
+    # The accumulated diagonal scales can overflow for non-normalizable
+    # zero patterns (they genuinely diverge while the matrix iterates
+    # stay bounded); that is reported through ConvergenceError, not a
+    # warning.  Overflow is silenced once for the whole loop; underflow,
+    # division and invalid-value errors keep the caller's setting.
+    with np.errstate(over="ignore"):
+        while n_live and iterations_run < max_iterations:
+            if t_end is not None and time.monotonic() >= t_end:
+                timed_out = True
+                break
+            if on_progress is not None:
+                on_progress(n_live)
+            # Column pass (eq. 9, odd k), then row pass (even k): scale
+            # every column, then every row, to its target.
+            col_factors = col_targets / col_sums
+            sub *= col_factors[:, None, :]
+            row_factors = row_targets / add(sub, 2)
+            sub *= row_factors[:, :, None]
             cs *= col_factors
             rs *= row_factors
-        iterations_run += 1
-        col_sums = np.einsum("nij->nj", sub) if by_einsum else add(sub, axis=1)
-        res = np.maximum(
-            largest(np.abs(add(sub, axis=2) - row_targets), axis=1),
-            largest(np.abs(col_sums - col_targets), axis=1),
-        )
-        steps.append((idx, res))
-        done = res <= tol
-        if live is not None:
-            done &= live
-        n_done = np.count_nonzero(done)
-        if not n_done:
-            continue
-        frozen = idx[done]
-        work[frozen] = sub[done]
-        row_scale[frozen] = rs[done]
-        col_scale[frozen] = cs[done]
-        residual[frozen] = res[done]
-        iterations[frozen] = iterations_run
-        converged[frozen] = True
-        n_live -= n_done
-        if not n_live:
-            break
-        live = ~done if live is None else live & ~done
-        if 2 * n_live <= idx.size:
-            idx, sub, rs, cs, col_sums, res = (
-                idx[live], sub[live], rs[live], cs[live], col_sums[live],
-                res[live],
-            )
-            live = None
+            iterations_run += 1
+            res = residuals(sub)
+            steps.append((idx, res))
+            done = res <= tol
+            if live is not None:
+                done &= live
+            n_done = np.count_nonzero(done)
+            if not n_done:
+                continue
+            n_live -= n_done
+            if in_place and not n_live:
+                # Every slice froze at this iteration: ``work`` and the
+                # accumulators already hold the result.
+                residual[:] = res
+                iterations.fill(iterations_run)
+                converged.fill(True)
+                break
+            frozen = idx[done]
+            if not in_place:
+                work[frozen] = sub[done]
+                row_scale[frozen] = rs[done]
+                col_scale[frozen] = cs[done]
+            residual[frozen] = res[done]
+            iterations[frozen] = iterations_run
+            converged[frozen] = True
+            if not n_live:
+                break
+            live = ~done if live is None else live & ~done
+            if in_place or 2 * n_live <= idx.size:
+                # In place, the frozen slices are final in ``work``: the
+                # rest iterate on a gathered copy from here on.
+                idx, res = idx[live], res[live]
+                if in_place:
+                    sub, rs, cs = work[idx], row_scale[idx], col_scale[idx]
+                    in_place = False
+                else:
+                    sub, rs, cs = sub[live], rs[live], cs[live]
+                sums, sum_rows, col_sums, dev = buffers(sums[live])
+                live = None
     if iterations_run and n_live:
         if live is not None:
             idx, sub, rs, cs, res = (
                 idx[live], sub[live], rs[live], cs[live], res[live]
             )
-        work[idx] = sub
-        row_scale[idx] = rs
-        col_scale[idx] = cs
+        if not in_place:
+            work[idx] = sub
+            row_scale[idx] = rs
+            col_scale[idx] = cs
         residual[idx] = res
         iterations[idx] = iterations_run
     return log, iterations, residual, converged, iterations_run, timed_out
@@ -356,21 +399,28 @@ class NormalizationResult:
 def _observe_runs(kernel: str, iterations, residuals, converged) -> None:
     """Feed the Sinkhorn metric families, one observation per run.
 
-    A batched run passes per-slice sequences and counts every slice as
-    one run; a scalar run passes one-element sequences.
+    ``iterations``, ``residuals`` and ``converged`` are per-slice
+    sequences, one slice per run (a scalar run passes one-slice ones).
+    Each family is fed once for the whole batch, in slice order, so
+    every series ends exactly as one call per slice would leave it.
     """
     if not _metrics.metrics_enabled():
         return
-    for its, residual, ok in zip(iterations, residuals, converged):
-        _metrics.inc(
-            "repro_sinkhorn_runs_total",
-            kernel=kernel,
-            converged="true" if ok else "false",
-        )
-        _metrics.observe("repro_sinkhorn_iterations", int(its), kernel=kernel)
-        _metrics.observe(
-            "repro_sinkhorn_exit_residual", float(residual), kernel=kernel
-        )
+    n_converged = int(np.count_nonzero(converged))
+    for outcome, count in (
+        ("true", n_converged), ("false", len(converged) - n_converged)
+    ):
+        if count:
+            _metrics.inc(
+                "repro_sinkhorn_runs_total",
+                count,
+                kernel=kernel,
+                converged=outcome,
+            )
+    _metrics.observe_many("repro_sinkhorn_iterations", iterations, kernel=kernel)
+    _metrics.observe_many(
+        "repro_sinkhorn_exit_residual", residuals, kernel=kernel
+    )
 
 
 def _residual(matrix: np.ndarray, row_target: float, col_target: float) -> float:
@@ -419,7 +469,7 @@ def _scale_matrix(
     stack, row_scale, col_scale = _warm_started(work[None], warm_start)
     t_end = _check_deadline(deadline_s)
     with _obs_span(f"sinkhorn.{kernel}", rows=n_rows, cols=n_cols) as sp:
-        log, iterations, _, converged, _, timed_out = _scale_stack(
+        log, iterations, residual, converged, _, timed_out = _scale_stack(
             stack,
             row_targets,
             col_targets,
@@ -430,16 +480,16 @@ def _scale_matrix(
             t_end=t_end,
         )
         history = log.histories()[0]
-        iterations = int(iterations[0])
-        converged = bool(converged[0])
         sp.note(
-            iterations=iterations,
-            converged=converged,
+            iterations=int(iterations[0]),
+            converged=bool(converged[0]),
             residual=history[-1],
             timed_out=timed_out,
         )
         sp.sample("residual", history)
-    _observe_runs(kernel, (iterations,), (history[-1],), (converged,))
+    _observe_runs(kernel, iterations, residual, converged)
+    iterations = int(iterations[0])
+    converged = bool(converged[0])
     if warm_start is not None:
         _metrics.inc(
             "repro_backend_warm_start_total",

@@ -25,8 +25,8 @@ True
   process-wide JSONL trace and keeps nothing; :func:`summary`,
   :func:`load_spans` and :func:`query_traces` read them back.
 * **Metrics.**  A process-wide :class:`MetricsRegistry` fed through
-  the gated verbs ``metrics.inc`` / ``observe`` / ``set`` from one
-  family table (:data:`repro.obs.metrics.FAMILIES`);
+  the gated verbs ``metrics.inc`` / ``observe`` / ``observe_many`` /
+  ``set`` from one family table (:data:`repro.obs.metrics.FAMILIES`);
   :func:`render_prometheus` / :func:`start_metrics_server` expose it,
   :func:`chrome_trace` converts span records for Perfetto, and
   :func:`run_bench` / :func:`compare_bench` drive ``repro-hc bench``.

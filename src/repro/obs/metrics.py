@@ -8,9 +8,10 @@ fixed-bucket :class:`Histogram` distributions, each carrying many
 label series (``repro_sinkhorn_runs_total{kernel="scalar",...}``).
 
 Every family the library publishes is one row of :data:`FAMILIES`.  Hot
-paths feed a family by name through three verbs — :func:`inc`,
-:func:`observe` and :func:`set` — which find the instrument in the
-default registry, creating it from its row on first use.
+paths feed a family by name through the verbs :func:`inc`,
+:func:`observe` (or :func:`observe_many` for a batch of values) and
+:func:`set`, which find the instrument in the default registry,
+creating it from its row on first use.
 
 Collection is **off by default**: each verb returns at once on a
 module-level gate, a few calls per kernel *run* (never per iteration) —
@@ -54,6 +55,7 @@ __all__ = [
     "collecting_metrics",
     "inc",
     "observe",
+    "observe_many",
     "set",
     "preregister",
     "fold_recorder",
@@ -121,17 +123,18 @@ class _Metric:
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
+        # frozenset, not set: the module-level verb ``set`` shadows it.
+        self._labelset = frozenset(self.labelnames)
         self._lock = lock
         self._series: dict[tuple[str, ...], object] = {}
 
     def _key(self, labels: dict) -> tuple[str, ...]:
-        # frozenset, not set: the module-level verb ``set`` shadows it.
-        if labels.keys() != frozenset(self.labelnames):
+        if labels.keys() != self._labelset:
             raise ValueError(
                 f"metric {self.name!r} takes labels "
                 f"{sorted(self.labelnames)}, got {sorted(labels)}"
             )
-        return tuple(str(labels[n]) for n in self.labelnames)
+        return tuple([str(labels[n]) for n in self.labelnames])
 
     def series(self) -> dict:
         """Snapshot of every label-series value (label tuple -> value)."""
@@ -251,6 +254,29 @@ class Histogram(_Metric):
                     "value": value,
                     "timestamp": time.time(),
                 }
+
+    def observe_many(self, values, **labels) -> None:
+        """Record every value of ``values`` into one series, in order.
+
+        The series ends exactly as one :meth:`observe` per value would
+        leave it (NaN dropped, ``sum`` added up value by value), under
+        one label lookup and one lock.
+        """
+        key = self._key(labels)
+        buckets = self.buckets
+        with self._lock:
+            series = self._series.get(key)
+            if series is None:
+                series = self._series[key] = _HistogramSeries(len(buckets))
+            counts, total, n = series.counts, series.sum, series.count
+            for value in values:
+                value = float(value)
+                if math.isnan(value):
+                    continue
+                counts[bisect.bisect_left(buckets, value)] += 1
+                total += value
+                n += 1
+            series.sum, series.count = total, n
 
     def snapshot(self, **labels) -> dict:
         """``{"buckets": {le: cumulative_count}, "sum": s, "count": n}``
@@ -586,7 +612,7 @@ def _instrument(name: str, registry: MetricsRegistry) -> _Metric:
     return metric
 
 
-# -- the three gated verbs ---------------------------------------------
+# -- the gated verbs ---------------------------------------------------
 #
 # They feed the *current* default registry, so a swapped one
 # (collecting_metrics(fresh)) is always the one fed.  Each returns
@@ -608,6 +634,13 @@ def observe(name: str, value: float, exemplar: dict | None = None, **labels) -> 
     """
     if _enabled:
         _instrument(name, _default_registry).observe(value, exemplar, **labels)
+
+
+def observe_many(name: str, values, **labels) -> None:
+    """Record each of ``values``, in order, into one series of histogram
+    family ``name`` (a batch of runs fed in one call)."""
+    if _enabled:
+        _instrument(name, _default_registry).observe_many(values, **labels)
 
 
 def set(name: str, value: float, **labels) -> None:  # noqa: A001

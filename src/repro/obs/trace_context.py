@@ -7,9 +7,10 @@ coalescer, the cache and — serialized with
 context (:func:`current_trace`, bound by :func:`trace_scope`) gives the
 spans of :mod:`repro.obs.recorder` their trace ids.
 
-Disabled cost is near zero: with no recorder, a request only mints two
-random ids and reads a few clocks.  Trace ids never feed a numeric
-path, so traced and untraced runs produce bit-identical bodies.
+Disabled cost is near zero: with no recorder, a request only takes two
+random ids from a pre-drawn batch and reads a few clocks.  Trace ids
+never feed a numeric path, so traced and untraced runs produce
+bit-identical bodies.
 """
 
 from __future__ import annotations
@@ -46,6 +47,25 @@ TIMING_STAGES = (
 _ZERO_TRACE = "0" * 32
 _ZERO_SPAN = "0" * 16
 _HEX = set("0123456789abcdef")
+
+# Root ids (a trace id and a span id, 48 hex chars) are handed out from
+# a batch drawn in one ``urandom`` call: a syscall per request costs
+# more than the rest of a request's trace bookkeeping.  ``list.pop`` is
+# atomic, so two threads never get the same ids, and a forked child
+# drops the batch it inherited instead of repeating its parent's ids.
+_ROOT_ID_BATCH = 256
+_root_ids: list[str] = []
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_root_ids.clear)
+
+
+def _new_root_ids() -> str:
+    try:
+        return _root_ids.pop()
+    except IndexError:
+        raw = os.urandom(24 * _ROOT_ID_BATCH).hex()
+        _root_ids.extend(raw[i:i + 48] for i in range(0, len(raw), 48))
+        return _root_ids.pop()
 
 
 def _new_span_id() -> str:
@@ -99,12 +119,12 @@ class TraceContext:
     def new(cls) -> "TraceContext":
         """Mint a fresh root context.
 
-        Both ids come from one ``urandom`` draw — this sits on the serve
-        hot path (every request mints a context for its
+        Both ids come from one batched ``urandom`` draw — this sits on
+        the serve hot path (every request mints a context for its
         ``X-Repro-Trace-Id`` header, traced or not).
         """
-        both = os.urandom(24).hex()
-        return cls(trace_id=both[:32], span_id=both[32:])
+        both = _new_root_ids()
+        return cls(both[:32], both[32:])
 
     def child(self) -> "TraceContext":
         """A new span context under this one (same trace)."""
@@ -185,10 +205,14 @@ class RequestTrace:
 
     @classmethod
     def begin(cls, traceparent: str | None = None) -> "RequestTrace":
-        """Start a request trace, adopting an incoming traceparent if valid."""
-        remote = TraceContext.from_traceparent(traceparent)
-        if remote is not None:
-            return cls(remote.child(), remote_parent=True)
+        """Start a request trace, adopting an incoming traceparent if valid.
+
+        Most requests send no ``traceparent``; they skip the parse.
+        """
+        if traceparent:
+            remote = TraceContext.from_traceparent(traceparent)
+            if remote is not None:
+                return cls(remote.child(), remote_parent=True)
         return cls(TraceContext.new())
 
     def add(self, stage: str, seconds: float) -> None:

@@ -95,10 +95,11 @@ class RobustEnsembleCharacterization(EnsembleCharacterization):
         response without touching the NaN-masked measure row.
         """
         fault = None
-        try:
-            fault = self.report.fault(index)
-        except KeyError:
-            pass
+        if self.report.faults:
+            try:
+                fault = self.report.fault(index)
+            except KeyError:
+                pass
         if fault is not None and not fault.repaired:
             return {"fault": fault.to_payload()}
         payload = {
@@ -260,7 +261,8 @@ def _record_counters(rec, report: QuarantineReport) -> None:
     _metrics.inc(
         "repro_member_outcomes_total", len(report.repaired), outcome="repaired"
     )
-    for category, indices in report.by_category().items():
+    by_category = report.by_category()
+    for category, indices in by_category.items():
         _metrics.inc(
             "repro_member_outcomes_total",
             len(indices),
@@ -271,7 +273,7 @@ def _record_counters(rec, report: QuarantineReport) -> None:
     rec.counter("robust.quarantined", len(report.quarantined))
     rec.counter("robust.repaired", len(report.repaired))
     rec.counter("robust.retries", report.attempts)
-    for category, indices in report.by_category().items():
+    for category, indices in by_category.items():
         rec.counter(f"robust.fault.{category}", len(indices))
 
 
@@ -352,9 +354,7 @@ def characterize_ensemble_robust(
         if verdict is not None:
             faults[i] = verdict
 
-    mph = np.full(n, np.nan)
-    tdh = np.full(n, np.nan)
-    tma = np.full(n, np.nan)
+    mph, tdh, tma = np.full((3, n), np.nan)
     iterations = np.full(n, -1, dtype=np.int64)
     converged = np.zeros(n, dtype=bool)
     batched_mask = np.zeros(n, dtype=bool)

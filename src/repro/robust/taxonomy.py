@@ -285,14 +285,16 @@ def classify_matrix(
             f"environment must be a non-empty 2-D matrix, got shape "
             f"{arr.shape}",
         )
-    if np.isnan(arr).any():
-        return ("nan", "member contains NaN entries")
-    if np.isinf(arr).any():
+    if not np.isfinite(arr).all():
+        if np.isnan(arr).any():
+            return ("nan", "member contains NaN entries")
         return ("non-finite", "member contains infinite entries")
-    if (arr < 0).any():
-        return ("negative", "member contains negative entries")
-    if not (arr > 0).any(axis=1).all() or not (arr > 0).any(axis=0).all():
-        return ("empty-line", "member has an all-zero row or column")
+    positive = arr > 0
+    if not positive.all():
+        if (arr < 0).any():
+            return ("negative", "member contains negative entries")
+        if not positive.any(axis=1).all() or not positive.any(axis=0).all():
+            return ("empty-line", "member has an all-zero row or column")
     if tma_fallback == "raise" and (arr == 0).any():
         from ..structure import normalizability_report
 

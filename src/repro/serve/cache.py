@@ -97,12 +97,24 @@ def matrix_cache_key(matrix, *, endpoint: str = "", options=None) -> str:
     anywhere), invariant under dtype/memory-order changes, and distinct
     under any value perturbation.
     """
+    return _key(matrix, endpoint, canonical_options(options))
+
+
+def request_cache_key(request) -> str:
+    """:func:`matrix_cache_key` of a parsed
+    :class:`~repro.serve.protocol.ServeRequest`, from the canonical
+    options string the request carries (serialized once per request,
+    shared with its coalescing group key)."""
+    return _key(request.matrix, request.endpoint, request.canonical_options)
+
+
+def _key(matrix, endpoint: str, options_json: str) -> str:
     digest = hashlib.sha256()
     digest.update(CACHE_KEY_VERSION.encode("ascii"))
     digest.update(b"\x00")
     digest.update(endpoint.encode("utf-8"))
     digest.update(b"\x00")
-    digest.update(canonical_options(options).encode("utf-8"))
+    digest.update(options_json.encode("utf-8"))
     digest.update(b"\x00")
     digest.update(canonical_matrix_bytes(matrix))
     return digest.hexdigest()

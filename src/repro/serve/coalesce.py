@@ -49,7 +49,6 @@ import numpy as np
 
 from ..obs import current_recorder, metrics as _metrics
 from ..obs.trace_context import trace_scope
-from .cache import canonical_options
 from .protocol import ServeRequest
 from .resilience import DeadlineExceeded
 
@@ -153,11 +152,7 @@ class Coalescer:
 
     def group_key(self, request: ServeRequest) -> tuple:
         """The coalescing identity: endpoint + shape + kernel options."""
-        return (
-            self.endpoint,
-            request.shape,
-            canonical_options(request.options),
-        )
+        return (self.endpoint, request.shape, request.canonical_options)
 
     async def submit(
         self, request: ServeRequest, deadline=None, trace=None

@@ -48,8 +48,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+
+from .cache import canonical_options
 
 __all__ = [
     "SCHEMA",
@@ -120,6 +123,13 @@ class ServeRequest:
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape  # type: ignore[return-value]
+
+    @cached_property
+    def canonical_options(self) -> str:
+        """:func:`~repro.serve.cache.canonical_options` of ``options``,
+        serialized once: the cache key and the coalescing group key
+        both read it."""
+        return canonical_options(self.options)
 
 
 def _parse_matrix(payload: dict) -> np.ndarray:

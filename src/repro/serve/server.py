@@ -15,7 +15,7 @@ offline measure library into a standing endpoint:
 Request flow (the order is the point):
 
 1. **content-addressed cache** — the canonical matrix + options key
-   (:func:`repro.serve.cache.matrix_cache_key`) is looked up first;
+   (:func:`repro.serve.cache.request_cache_key`) is looked up first;
    hits answer with the exact bytes of the original response and zero
    kernel work;
 2. **in-flight dedup** — an identical request already being computed
@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import __version__
+from ..batch import characterize_ensemble
 from ..obs import metrics as _metrics
 from ..obs.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from ..obs.metrics import enable_metrics
@@ -61,7 +62,7 @@ from ..obs.recorder import Recorder
 from ..obs.sinks import JsonlSink, RotatingJsonlSink
 from ..obs.trace_context import RequestTrace
 from ..robust.budget import Budget, Deadline
-from .cache import ResultCache, matrix_cache_key
+from .cache import ResultCache, request_cache_key
 from .coalesce import Coalescer, ServeFault
 from .protocol import (
     ProtocolError,
@@ -267,8 +268,6 @@ class CharacterizationServer:
 
     def _run_characterize_batch(self, options: dict, matrices: list) -> list:
         """One batched characterize kernel call; per-slice payloads."""
-        from ..batch import characterize_ensemble
-
         budget = self._batch_budget(options)
         stack = np.stack(matrices)
         result = characterize_ensemble(
@@ -455,9 +454,7 @@ class CharacterizationServer:
             raise DeadlineExceeded(
                 "request deadline expired before any work was scheduled"
             )
-        key = matrix_cache_key(
-            request.matrix, endpoint=endpoint, options=request.options
-        )
+        key = request_cache_key(request)
         # Cache hits and singleflight joins bypass admission control:
         # they cost no kernel work, and shedding them under load would
         # throw away exactly the requests that are free to serve.

@@ -95,6 +95,20 @@ class TestHistogram:
         assert snap["count"] == 1
         assert snap["sum"] == 0.5
 
+    def test_observe_many_equals_one_observe_per_value(self):
+        values = [0.3, float("nan"), 7.0, 1e-9, 2.5, 1.0, 1e4, 0.1]
+        registry = MetricsRegistry()
+        one = registry.histogram("one", buckets=(1.0, 10.0), labelnames=("k",))
+        many = registry.histogram("many", buckets=(1.0, 10.0), labelnames=("k",))
+        for value in values:
+            one.observe(value, k="a")
+        many.observe_many(values[:3], k="a")
+        many.observe_many(np.array(values[3:]), k="a")
+        # Bit-equal sums: the values are added one by one, in order.
+        assert many.series() == one.series()
+        with pytest.raises(ValueError, match="takes labels"):
+            many.observe_many([1.0], kind="a")
+
     def test_unobserved_series_snapshots_to_zero(self):
         h = MetricsRegistry().histogram("h", buckets=(1.0,))
         assert h.snapshot() == {
@@ -263,6 +277,37 @@ class TestHotPathFeeds:
         assert runs.value(kernel="batched", converged="true") == 5.0
         iters = registry.get("repro_sinkhorn_iterations")
         assert iters.snapshot(kernel="batched")["count"] == 5
+
+    def test_batched_feed_matches_one_feed_per_slice(self):
+        # One call per family and batch leaves every series exactly as
+        # three calls per slice would: same counts, bit-equal sums.
+        from repro.batch.sinkhorn import sinkhorn_knopp_batched
+
+        stack = np.random.default_rng(1).uniform(0.5, 4.0, size=(7, 4, 3))
+        stack[2, 0, :] = [1.0, 0.0, 0.0]
+        stack[2, 1:, 0] = 0.0
+        with collecting_metrics(MetricsRegistry()) as registry:
+            result = sinkhorn_knopp_batched(
+                stack, require_convergence=False, max_iterations=50
+            )
+        assert not result.converged.all()
+        with collecting_metrics(MetricsRegistry()) as expected:
+            for its, residual, ok in zip(
+                result.iterations, result.residual, result.converged
+            ):
+                obs_metrics.inc(
+                    "repro_sinkhorn_runs_total",
+                    kernel="batched",
+                    converged="true" if ok else "false",
+                )
+                obs_metrics.observe(
+                    "repro_sinkhorn_iterations", int(its), kernel="batched"
+                )
+                obs_metrics.observe(
+                    "repro_sinkhorn_exit_residual", float(residual),
+                    kernel="batched",
+                )
+        assert registry.snapshot() == expected.snapshot()
 
     def test_characterize_feeds_svd_and_method(self):
         from repro import characterize

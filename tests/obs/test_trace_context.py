@@ -42,6 +42,34 @@ class TestTraceContext:
         assert len({c.trace_id for c in contexts}) == 64
         assert len({c.span_id for c in contexts}) == 64
 
+    def test_ids_stay_unique_across_batches_and_well_formed(self):
+        # Root ids come from pre-drawn batches; several batches' worth
+        # must still be distinct lowercase hex of the W3C widths.
+        contexts = [TraceContext.new() for _ in range(1000)]
+        assert len({c.trace_id for c in contexts}) == 1000
+        assert len({c.span_id for c in contexts}) == 1000
+        hexdigits = set("0123456789abcdef")
+        for c in contexts:
+            assert len(c.trace_id) == 32 and set(c.trace_id) <= hexdigits
+            assert len(c.span_id) == 16 and set(c.span_id) <= hexdigits
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_never_repeats_the_parents_ids(self):
+        TraceContext.new()  # the parent now holds a part-used batch
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            os.close(read_end)
+            os.write(write_end, TraceContext.new().trace_id.encode())
+            os._exit(0)
+        os.close(write_end)
+        child_id = os.read(read_end, 64).decode()
+        os.close(read_end)
+        os.waitpid(pid, 0)
+        parent_ids = {TraceContext.new().trace_id for _ in range(300)}
+        assert len(child_id) == 32
+        assert child_id not in parent_ids
+
     def test_child_shares_trace_and_links_parent(self):
         parent = TraceContext.new()
         child = parent.child()

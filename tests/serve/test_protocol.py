@@ -164,3 +164,40 @@ class TestEncoding:
         document = json.loads(error_body("standardize", "nan", "bad data"))
         assert document["schema"] == SCHEMA
         assert document["error"] == {"category": "nan", "message": "bad data"}
+
+
+class TestCanonicalOptions:
+    def test_request_carries_its_canonical_options(self):
+        from repro.serve import canonical_options, matrix_cache_key
+        from repro.serve.cache import request_cache_key
+
+        request = parse_request("characterize", _payload(tol=1e-9))
+        assert request.canonical_options == canonical_options(request.options)
+        assert request_cache_key(request) == matrix_cache_key(
+            request.matrix, endpoint="characterize", options=request.options
+        )
+
+    def test_serialized_once_per_served_request(self, monkeypatch):
+        # The cache key and the coalescing group key both read the
+        # string the request carries; neither serializes the options.
+        import asyncio
+
+        from repro.obs.metrics import MetricsRegistry, collecting_metrics
+        from repro.serve import CharacterizationServer, ServeConfig, protocol
+
+        calls = []
+        real = protocol.canonical_options
+
+        def counting(options):
+            calls.append(options)
+            return real(options)
+
+        monkeypatch.setattr(protocol, "canonical_options", counting)
+        body = json.dumps(_payload([[1.0, 2.0], [3.0, 5.0]])).encode()
+        with collecting_metrics(MetricsRegistry()):
+            server = CharacterizationServer(ServeConfig(port=0))
+            status, _, _ = asyncio.run(
+                server.dispatch("POST", "/v1/characterize", body)
+            )
+        assert status == 200
+        assert len(calls) == 1

@@ -14,6 +14,13 @@ import pytest
 from repro.cli import main
 
 
+@pytest.fixture(autouse=True)
+def _isolated_metrics(metrics_registry):
+    """``serve`` opens the process-wide metrics gate; close it again
+    after each test, so later tests see the default (disabled) gate."""
+    yield
+
+
 @pytest.fixture
 def taken_port():
     """A listening socket the CLI under test will collide with."""
